@@ -82,12 +82,22 @@ def wire_image(checkpoint) -> dict:
     node names — so the same process state always encodes to the same
     bytes regardless of which pod holds it.
     """
-    if isinstance(checkpoint, (CxlForkCheckpoint, CriuCheckpoint)):
-        if RAS.active():
-            # A poisoned source must never replicate: shipping it would
-            # spread the corruption to every peer pod (the CXL "viral"
-            # semantic, enforced in software at the encode boundary).
-            verify_checkpoint(checkpoint, context="replication.wire_image")
+    _verify_shippable(checkpoint)
+    return _wire_body(checkpoint)
+
+
+def _verify_shippable(checkpoint) -> None:
+    """Refuse a poisoned source (RAS on): it must never replicate.
+
+    Shipping it would spread the corruption to every peer pod (the CXL
+    "viral" semantic, enforced in software at the encode boundary).  Every
+    ship runs this, including one served from an encoded-blob cache.
+    """
+    if RAS.active() and isinstance(checkpoint, (CxlForkCheckpoint, CriuCheckpoint)):
+        verify_checkpoint(checkpoint, context="replication.wire_image")
+
+
+def _wire_body(checkpoint) -> dict:
     if isinstance(checkpoint, CxlForkCheckpoint):
         return _cxlfork_wire(checkpoint)
     if isinstance(checkpoint, CriuCheckpoint):
@@ -521,12 +531,15 @@ class Replicator:
         return key
 
     def _encoded_blob(self, checkpoint) -> bytes:
+        # Verify before the cache lookup: a checkpoint poisoned after an
+        # earlier ship must not go out again from the cached bytes.
+        _verify_shippable(checkpoint)
         key = self._cache_key(checkpoint)
         cached = self._blob_cache.get(key)
         if cached is not None and (key[0] == "content" or cached[0] is checkpoint):
             self.stats.encode_cache_hits += 1
             return cached[1]
-        blob = self.codec.encode(wire_image(checkpoint))
+        blob = self.codec.encode(_wire_body(checkpoint))
         if len(self._blob_cache) >= self._BLOB_CACHE_MAX:
             self._blob_cache.pop(next(iter(self._blob_cache)))
         self._blob_cache[key] = (checkpoint, blob)

@@ -23,4 +23,7 @@ __all__ = [
     "keepalive_study",
     "density",
     "write_heavy",
+    "failure_sweep",
+    "corruption_sweep",
+    "cluster_scale",
 ]

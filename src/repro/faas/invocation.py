@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.faas.profiles import MemoryPlan, Segment, SegmentRole
+from repro.faas.profiles import MemoryPlan, SegmentRole
 from repro.os.kernel import FaultStats
 from repro.os.mm.faults import WARMING_KINDS, FaultKind
 from repro.os.proc.task import Task
@@ -150,58 +150,73 @@ class InvocationEngine:
         latency = node.fabric.latency
         result = InvocationResult()
 
-        # Pass 1: drive faults / page-state transitions segment by segment.
-        seg_masks: list[tuple[Segment, np.ndarray, FaultStats]] = []
+        # Pass 1: drive faults / page-state transitions, one kernel pass
+        # over every touched segment.
+        touches = []
+        unplaced = None
         for seg in plan.segments:
             if not seg.placed:
-                raise ValueError(f"segment {seg.label!r} was never placed")
+                unplaced = seg
+                break
             mask = touch_mask(seg.npages, seg.touch_frac, invocation_index)
-            if not np.any(mask):
+            if not mask.any():
                 continue
             write = seg.role is SegmentRole.READ_WRITE
-            stats = kernel.access_range(
-                task, seg.start_vpn, seg.npages, write=write, touched_mask=mask
-            )
-            result.fault_stats.merge(stats)
-            seg_masks.append((seg, mask, stats))
-        result.fault_ns = result.fault_stats.cost_ns
+            touches.append((seg.start_vpn, seg.npages, write, mask))
+        seg_stats = kernel.access_segments(task, touches)
+        if unplaced is not None:
+            raise ValueError(f"segment {unplaced.label!r} was never placed")
+        # Only faulting segments carry counts or cost; the placement and
+        # warming totals are summed over every segment below.
+        fault_stats = result.fault_stats
+        for stats in seg_stats:
+            if stats.counts:
+                fault_stats.merge(stats)
+        result.fault_ns = fault_stats.cost_ns
 
         # Pass 2: memory-access time from the post-fault page placement.
-        # access_range already tallied each segment's touched pages in its
-        # placement counters, so no mask re-scan is needed here.
-        total_touched = sum(s.touched for _, _, s in seg_masks)
-        result.touched_pages = total_touched
-        ws_bytes = total_touched * PAGE_SIZE
+        # The kernel already tallied each segment's touched pages in its
+        # placement counters, so no mask re-scan is needed here; pass 2 is
+        # array arithmetic over those per-segment tallies.
+        n_cxl, n_local, warmed = np.array(
+            [(s.touched_cxl, s.touched_local, s.warmed) for s in seg_stats],
+            dtype=np.int64,
+        ).reshape(-1, 3).T
+        n_touched = n_cxl + n_local
+        result.touched_local = fault_stats.touched_local = int(n_local.sum())
+        result.touched_cxl = fault_stats.touched_cxl = int(n_cxl.sum())
+        fault_stats.warmed = int(warmed.sum())
+        result.touched_pages = result.touched_local + result.touched_cxl
+        ws_bytes = result.touched_pages * PAGE_SIZE
         miss_frac = node.cache.rereference_miss_fraction(ws_bytes)
 
         # Shared-fabric contention inflates effective CXL access latency
         # (1.0 on an idle fabric; see repro.cxl.bandwidth).
         contention = node.fabric.contention_factor()
-        access_ns = 0.0
-        for seg, mask, stats in seg_masks:
-            n_cxl = stats.touched_cxl
-            n_local = stats.touched_local
-            n_touched = n_cxl + n_local
-            result.touched_local += n_local
-            result.touched_cxl += n_cxl
 
-            # First touches: pages just copied by a fault are cache-warm.
-            warmed = stats.warmed
-            cold_first = max(0, n_touched - warmed)
-            frac_cxl = n_cxl / n_touched if n_touched else 0.0
-            ft_cxl = cold_first * frac_cxl
-            ft_local = cold_first - ft_cxl
-            result.first_touch_misses += cold_first
+        # First touches: pages just copied by a fault are cache-warm.
+        cold_first = np.maximum(0, n_touched - warmed)
+        frac_cxl = np.divide(
+            n_cxl, n_touched, out=np.zeros(n_cxl.size), where=n_touched != 0
+        )
+        ft_cxl = cold_first * frac_cxl
+        ft_local = cold_first - ft_cxl
+        result.first_touch_misses = int(cold_first.sum())
 
-            # Re-references miss per the cache capacity model.
-            reaccesses = n_touched * spec.reaccess_per_page
-            re_misses = reaccesses * miss_frac
-            re_cxl = re_misses * frac_cxl
-            re_local = re_misses - re_cxl
-            result.reaccess_misses += int(re_misses)
+        # Re-references miss per the cache capacity model.
+        reaccesses = n_touched * spec.reaccess_per_page
+        re_misses = reaccesses * miss_frac
+        re_cxl = re_misses * frac_cxl
+        re_local = re_misses - re_cxl
+        result.reaccess_misses = int(re_misses.astype(np.int64).sum())
 
-            access_ns += (ft_cxl + re_cxl) * latency.access_ns(cxl=True) * contention
-            access_ns += (ft_local + re_local) * latency.access_ns(cxl=False)
+        # Per segment, the CXL term then the local term, summed strictly
+        # left to right (np.add.accumulate, not np.sum's pairwise tree), so
+        # the float total is the one a per-segment loop produces.
+        terms = np.zeros(2 * n_cxl.size + 1)
+        terms[1::2] = (ft_cxl + re_cxl) * latency.access_ns(cxl=True) * contention
+        terms[2::2] = (ft_local + re_local) * latency.access_ns(cxl=False)
+        access_ns = float(np.add.accumulate(terms)[-1])
 
         result.access_ns = access_ns
         result.compute_ns = spec.compute_ns

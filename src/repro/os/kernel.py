@@ -581,60 +581,168 @@ class Kernel:
         ``touched_mask`` restricts the touch to a subset of the range (the
         invocation engine samples working sets).  The range must lie within
         one VMA.  Returns the fault statistics; virtual time is advanced.
+        This is the one-segment case of :meth:`access_segments`.
         """
+        return self.access_segments(
+            task, ((start_vpn, npages, write, touched_mask),)
+        )[0]
+
+    def access_segments(self, task: Task, segments) -> list[FaultStats]:
+        """Touch several ranges of one address space in one pass.
+
+        ``segments`` is a sequence of ``(start_vpn, npages, write, mask)``
+        tuples, each with :meth:`access_range`'s meaning (``mask`` may be
+        None: every page touched).  Returns one :class:`FaultStats` per
+        segment, and every observable effect — PTE and A/D-bit writes,
+        frame allocation, leaf privatization, clock advances, errors — is
+        that of calling :meth:`access_range` on each segment in order.
+
+        Ascending, disjoint segments (one invocation's working set) take
+        the batched path: the touched vpns are built once, each touched
+        PTE leaf is read once, and a leaf whose touched pages are all warm
+        (present, and not CoW for writes) gets its A/D bits and placement
+        tallies as array ops.  A leaf with any fault runs its chunks
+        through :meth:`_access_chunk` in vpn order, so the batch replays
+        the per-segment sequence exactly.  Any other input, or a clock
+        with an alarm armed (which even a zero advance can fire), goes
+        segment by segment.
+        """
+        if not segments:
+            return []
+        if len(segments) > 1:
+            ordered = all(
+                a[0] + a[1] <= b[0] for a, b in zip(segments, segments[1:])
+            )
+            if not ordered or self.clock.alarms_armed:
+                return [self.access_segments(task, (seg,))[0] for seg in segments]
         self._check_alive()
-        vma = task.mm.vmas.find(start_vpn)
-        if vma is None or start_vpn + npages > vma.end_vpn:
-            raise SegfaultError(
-                f"{task.comm}/{task.pid}: access outside VMA at vpn {start_vpn}"
-            )
-        if write and not (vma.perms & VmaPerms.WRITE):
-            raise SegfaultError(
-                f"{task.comm}/{task.pid}: write to read-only VMA at vpn {start_vpn}"
-            )
-        stats = FaultStats()
-        # Normalize the touch mask once, outside the per-chunk loop;
-        # ``None`` means "every page touched" and avoids materializing an
-        # all-ones array per chunk.
-        mask = None
-        if touched_mask is not None:
-            mask = np.asarray(touched_mask, dtype=bool)
+        found = task.mm.vmas.find_ascending([seg[0] for seg in segments])
+        error = None
+        valid = 0
+        for (start, npages, write, _mask), vma in zip(segments, found):
+            if vma is None or start + npages > vma.end_vpn:
+                error = SegfaultError(
+                    f"{task.comm}/{task.pid}: access outside VMA at vpn {start}"
+                )
+                break
+            if write and not (vma.perms & VmaPerms.WRITE):
+                error = SegfaultError(
+                    f"{task.comm}/{task.pid}: write to read-only VMA at vpn {start}"
+                )
+                break
+            valid += 1
+        # The segments before a bad one still run, as they would have as
+        # separate calls.
+        stats = self._touch_segments(task, segments[:valid])
+        if error is not None:
+            raise error
+        return stats
+
+    def _touch_segments(self, task: Task, segments) -> list[FaultStats]:
+        """The batched body of :meth:`access_segments` (validated input)."""
+        n_seg = len(segments)
+        stats = [FaultStats() for _ in range(n_seg)]
+        vpns, seg_of, masks = _touched_pages(segments)
+        if not vpns.size:
+            self._settle(stats, 0, n_seg)
+            return stats
         pagetable = task.mm.pagetable
-        offset = 0
-        vpn = start_vpn
-        end = start_vpn + npages
-        while vpn < end:
-            leaf_index = vpn >> LEAF_SHIFT
-            lo = vpn & (PTES_PER_LEAF - 1)
-            hi = min(PTES_PER_LEAF, lo + (end - vpn))
-            chunk_len = hi - lo
-            sub = None
-            n_sub = chunk_len
-            if mask is not None:
-                sub = mask[offset : offset + chunk_len]
-                # One reduction does double duty: the empty-chunk skip here
-                # and the touched-page count _access_chunk needs anyway.
-                n_sub = int(np.count_nonzero(sub))
-            if n_sub:
-                # Create the leaf only when a page in this chunk is actually
-                # touched (a touch of a non-present page always installs a
-                # PTE); all-False chunks must not allocate empty leaves,
-                # which would inflate local_table_pages() for sparse sets.
+        leaf_of = vpns >> LEAF_SHIFT
+        starts = np.flatnonzero(np.diff(leaf_of, prepend=-1))  # first page per leaf
+        bounds = [*starts.tolist(), int(vpns.size)]
+        leaf_ids = leaf_of[starts].tolist()
+        offs = vpns & (PTES_PER_LEAF - 1)
+
+        # One read of every touched PTE; a missing leaf reads as zeros (not
+        # present), so it takes the fault path below, which creates it.
+        # Leaves with no touched page are never created: empty leaves would
+        # inflate local_table_pages() for sparse working sets.
+        leaves = [pagetable.leaf_or_none(i) for i in leaf_ids]
+        ptes = np.zeros(vpns.size, dtype=np.int64)
+        for leaf, a, b in zip(leaves, bounds, bounds[1:]):
+            if leaf is not None:
+                ptes[a:b] = leaf.ptes[offs[a:b]]
+        writes = np.fromiter(
+            (seg[2] for seg in segments), dtype=bool, count=n_seg
+        )[seg_of]
+        cold = (ptes & _PRESENT) == 0
+        cold |= writes & ((ptes & _COW) != 0)
+        leaf_cold = np.logical_or.reduceat(cold, starts)
+
+        # Warm pages: A on every touched page, D where a write meets a
+        # hardware-writable PTE; placement is unchanged, so the tallies
+        # come straight from the read.
+        updated = ptes | _ACCESSED
+        dirty = writes & ((ptes & _WRITE) != 0)
+        np.bitwise_or(updated, _DIRTY, out=updated, where=dirty)
+        on_cxl = (ptes & _CXL) != 0
+        warm_seg = seg_of
+        if leaf_cold.any():
+            warm_page = np.repeat(~leaf_cold, np.diff(bounds))
+            warm_seg = seg_of[warm_page]
+            on_cxl &= warm_page
+        n_warm = np.bincount(warm_seg, minlength=n_seg)
+        n_cxl = np.bincount(seg_of[on_cxl], minlength=n_seg)
+        for st, w, c in zip(stats, n_warm.tolist(), n_cxl.tolist()):
+            st.touched_cxl = c
+            st.touched_local = w - c
+
+        # Only fault leaves and warm leaves whose bits change need a visit.
+        changed = np.logical_or.reduceat(updated != ptes, starts)
+        visit = np.flatnonzero(leaf_cold | changed).tolist()
+        leaf_cold = leaf_cold.tolist()
+        settled = 0
+        seg_vmas: list[Optional[Vma]] = [None] * n_seg
+        for i in visit:
+            a, b = bounds[i], bounds[i + 1]
+            leaf_index = leaf_ids[i]
+            if not leaf_cold[i]:
+                leaves[i].ptes[offs[a:b]] = updated[a:b]
+                continue
+            # A leaf with a fault: its chunks run one segment at a time,
+            # as the per-segment loop ran them.
+            ks, counts = np.unique(seg_of[a:b], return_counts=True)
+            base = leaf_index << LEAF_SHIFT
+            for k, n_sub in zip(ks.tolist(), counts.tolist()):
+                self._settle(stats, settled, k)
+                settled = k
+                start, npages, write, _ = segments[k]
+                vpn0 = max(start, base)
+                vpn1 = min(start + npages, base + PTES_PER_LEAF)
+                mask = masks[k]
+                sub = None if mask is None else mask[vpn0 - start : vpn1 - start]
+                # The VMA is looked up when its segment first faults: an
+                # earlier fault may have replaced it (file registration).
+                vma = seg_vmas[k]
+                if vma is None:
+                    vma = seg_vmas[k] = task.mm.vmas.find(start)
                 leaf = pagetable.leaf_or_none(leaf_index)
                 if leaf is None:
                     leaf = pagetable.ensure_leaf(leaf_index)
+                lo = vpn0 - base
                 self._access_chunk(
-                    task, vma, leaf, leaf_index, slice(lo, hi), vpn, sub,
-                    n_sub, write, stats,
+                    task, vma, leaf, leaf_index, slice(lo, lo + vpn1 - vpn0),
+                    vpn0, sub, n_sub, write, stats[k],
                 )
-            offset += chunk_len
-            vpn += chunk_len
-        self.clock.advance(stats.cost_ns)
-        if TRACE.enabled and stats.total_faults:
-            for kind, n in stats.counts.items():
-                TRACE.count(f"kernel.fault.{kind.value}", n)
-            TRACE.observe("kernel.fault_batch_cost_ns", stats.cost_ns)
+        self._settle(stats, settled, n_seg)
         return stats
+
+    def _settle(self, stats: list[FaultStats], lo: int, hi: int) -> None:
+        """Advance the clock for segments ``[lo, hi)``, in order.
+
+        A zero-cost segment skips its advance unless an alarm is armed:
+        with none armed, ``advance(0)`` changes nothing.
+        """
+        clock = self.clock
+        armed = clock.alarms_armed
+        for st in stats[lo:hi]:
+            if st.cost_ns or armed:
+                clock.advance(st.cost_ns)
+                armed = clock.alarms_armed
+            if TRACE.enabled and st.counts:
+                for kind, n in st.counts.items():
+                    TRACE.count(f"kernel.fault.{kind.value}", n)
+                TRACE.observe("kernel.fault_batch_cost_ns", st.cost_ns)
 
     def _privatize_pte_leaf(
         self, task: Task, leaf_index: int, stats: FaultStats
@@ -985,6 +1093,53 @@ class Kernel:
             if backing.holds_frame_refs:
                 self.node.fabric.get_frames(src_frames)
             stats.add(FaultKind.CXL_MAP, count, self.fault_cost(FaultKind.CXL_MAP))
+
+
+def _touched_pages(segments) -> tuple[np.ndarray, np.ndarray, list]:
+    """The touched vpns of ascending, disjoint segments, in vpn order.
+
+    Returns ``(vpns, seg_of, masks)``: ``seg_of[i]`` indexes the segment
+    that touches ``vpns[i]``, and ``masks`` holds each segment's mask as a
+    boolean array (None: the whole range).  Segments that share one mask
+    object — the invocation engine's cached touch masks — share a single
+    ``flatnonzero``, and one broadcast adds all their starts.
+    """
+    n_seg = len(segments)
+    counts = np.zeros(n_seg, dtype=np.int64)
+    seg_groups: list = []
+    groups: dict = {}
+    for k, (start, npages, _write, mask) in enumerate(segments):
+        key = ("all", npages) if mask is None else id(mask)
+        group = groups.get(key)
+        if group is None:
+            if mask is not None:
+                mask = np.asarray(mask, dtype=bool)
+            group = groups[key] = (mask, npages, [], [])
+        if mask is not None and group[0].shape != (npages,):
+            raise ValueError(
+                f"touch mask of shape {group[0].shape} for {npages} pages"
+            )
+        group[2].append(k)
+        group[3].append(start)
+        seg_groups.append(group)
+    masks = [group[0] for group in seg_groups]
+    placed = []
+    for mask, npages, ks, starts in groups.values():
+        idx = np.arange(npages) if mask is None else np.flatnonzero(mask)
+        ks = np.array(ks)
+        counts[ks] = idx.size
+        placed.append((idx, ks, np.array(starts, dtype=np.int64)))
+    pos = np.zeros(n_seg + 1, dtype=np.int64)
+    np.cumsum(counts, out=pos[1:])
+    vpns = np.empty(int(pos[-1]), dtype=np.int64)
+    seg_of = np.empty(vpns.size, dtype=np.intp)
+    for idx, ks, starts in placed:
+        if not idx.size:
+            continue
+        rows = (pos[ks][:, None] + np.arange(idx.size)).ravel()
+        vpns[rows] = (starts[:, None] + idx).ravel()
+        seg_of[rows] = np.repeat(ks, idx.size)
+    return vpns, seg_of, masks
 
 
 __all__ = [

@@ -215,6 +215,24 @@ class VmaTree:
                 return hit
         return None
 
+    def find_ascending(self, vpns) -> list[Optional[Vma]]:
+        """:meth:`find` for each of an ascending sequence of ``vpns``.
+
+        One bisect locates the first vpn's leaf; the rest is a single walk
+        through the sorted VMAs, so a batch costs the VMAs it spans.
+        """
+        if not self._leaves:
+            return [None] * len(vpns)
+        found: list[Optional[Vma]] = []
+        pos = self._leaf_pos_for(vpns[0]) if vpns else 0
+        walk = (vma for leaf in self._leaves[pos:] for vma in leaf.vmas)
+        vma = next(walk, None)
+        for vpn in vpns:
+            while vma is not None and vma.start_vpn + vma.npages <= vpn:
+                vma = next(walk, None)
+            found.append(vma if vma is not None and vma.start_vpn <= vpn else None)
+        return found
+
     def find_leaf(self, vpn: int) -> Optional[tuple[int, VmaLeaf]]:
         """``(position, leaf)`` of the leaf whose VMA contains ``vpn``."""
         if not self._leaves:

@@ -55,6 +55,16 @@ class Clock:
         """Current virtual time in nanoseconds."""
         return self._now
 
+    @property
+    def alarms_armed(self) -> bool:
+        """True while an uncancelled alarm waits to fire.
+
+        With none armed, :meth:`advance` is pure arithmetic, so a caller
+        may skip a zero advance; with one armed, even ``advance(0)`` can
+        fire an alarm that is already due.
+        """
+        return any(not alarm.cancelled for alarm in self._alarms)
+
     def at(self, deadline_ns: int, action: Callable[[], None]) -> ClockAlarm:
         """Arm ``action`` to fire when time crosses absolute ``deadline_ns``.
 

@@ -109,6 +109,16 @@ class TestCli:
             assert hasattr(module, "run")
             assert hasattr(module, "main")
 
+    def test_experiments_all_lists_every_module(self):
+        import pkgutil
+
+        import repro.experiments as package
+
+        modules = {m.name for m in pkgutil.iter_modules(package.__path__)}
+        assert set(package.__all__) == modules
+        for module_path, _ in EXPERIMENTS.values():
+            assert module_path.rsplit(".", 1)[-1] in package.__all__
+
 
 class TestDedupAccounting:
     def test_two_clones_share_everything(self, pod):

@@ -4,6 +4,9 @@ import pytest
 
 from repro.cluster import build_federation
 from repro.cluster.replication import ReplicationError, encode_image
+from repro.exceptions import PoisonError
+from repro.ras import RAS
+from repro.ras.checksum import checkpoint_frames
 from repro.porter.autoscaler import PorterConfig
 
 
@@ -120,6 +123,24 @@ class TestShipPolicies:
         if second is not first:
             assert router.replicator.stats.encode_cache_hits == 0
         assert blob == encode_image(second)
+
+    def test_poisoned_after_ship_refused_despite_blob_cache(self):
+        """A checkpoint shipped once and poisoned afterwards must not ship
+        again: the RAS check runs before the encoded-blob cache lookup, so
+        a cache hit cannot bypass it."""
+        router, pods = federation(pod_count=3)
+        pods[0].porter.prewarm_and_checkpoint("float")
+        ckpt = pods[0].store.peek("tenant0", "float").checkpoint
+        with RAS.force(True):
+            router.replicator.ship("float", pods[0], pods[1])
+            drain(router.queue)
+            pods[0].fabric.device.frames.poison(checkpoint_frames(ckpt)[:1])
+            with pytest.raises(PoisonError):
+                router.replicator.ship("float", pods[0], pods[2])
+            drain(router.queue)
+        stats = router.replicator.stats
+        assert stats.ships == 1 and stats.encode_cache_hits == 0
+        assert pods[2].store.peek("tenant0", "float") is None
 
     def test_destination_death_in_flight_loses_replica(self):
         router, (src, dst) = federation()

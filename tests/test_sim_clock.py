@@ -90,3 +90,25 @@ class TestAlarms:
         clock.advance(100)
         assert fired == []
         assert clock.now == 100
+
+    def test_zero_advance_fires_due_alarm(self):
+        """advance(0) is not a no-op while an alarm is due: batched callers
+        may skip a zero advance only when no alarm is armed."""
+        clock = Clock(50)
+        fired = []
+        clock.at(50, lambda: fired.append(clock.now))
+        clock.at(40, lambda: fired.append(clock.now))
+        clock.advance(0)
+        assert fired == [50, 50]
+        assert clock.now == 50
+
+    def test_alarms_armed(self):
+        clock = Clock()
+        assert not clock.alarms_armed
+        alarm = clock.at(10, lambda: None)
+        assert clock.alarms_armed
+        alarm.cancel()
+        assert not clock.alarms_armed  # a cancelled alarm never fires
+        clock.at(20, lambda: None)
+        clock.advance(30)
+        assert not clock.alarms_armed
