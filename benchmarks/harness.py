@@ -23,8 +23,8 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.bench import (  # noqa: E402 - path setup must precede the import
-    BENCH_EXPERIMENTS,
     BenchResult,
+    bench_experiments,
     compare_to_baseline,
     load_baseline,
     main,
@@ -34,8 +34,8 @@ from repro.bench import (  # noqa: E402 - path setup must precede the import
 )
 
 __all__ = [
-    "BENCH_EXPERIMENTS",
     "BenchResult",
+    "bench_experiments",
     "compare_to_baseline",
     "load_baseline",
     "main",

@@ -4,7 +4,7 @@ These implement the paper's own discussion-section agenda (§8) plus the
 §3.1/§5 design arguments as measurable artifacts:
 
 * node-failure survival (§3.1: Mitosis' parent node is a point of failure;
-  CXLfork's CXL-resident checkpoints are not);
+  CXLfork's CXL-resident checkpoints are not), from the failure sweep;
 * CXL bandwidth contention at many nodes + bandwidth-aware tiering (§8);
 * keep-alive window sizing under cheap cold starts (§5 future work);
 * FaaS workflows passing data by reference over CXL (§8).
@@ -12,7 +12,7 @@ These implement the paper's own discussion-section agenda (§8) plus the
 
 from repro.experiments import (
     density,
-    failure,
+    failure_sweep,
     keepalive_study,
     scalability,
     write_heavy,
@@ -20,18 +20,21 @@ from repro.experiments import (
 
 
 def test_extension_node_failure(once, capsys):
-    rows = once(failure.run)
+    """The failure sweep's ``between`` stage: the source node crashes after
+    checkpointing, and a survivor restores and runs the clone."""
+    rows = once(failure_sweep.run, quick=True, seed=0)
+    between = [row for row in rows if row.stage == "between"]
     with capsys.disabled():
         print("\n=== Extension: restoring after the source node crashes ===")
-        print(failure.format_rows(rows))
-    by_mech = {row.mechanism: row for row in rows}
+        print(failure_sweep.format_rows(between))
+    by_mech = {row.mechanism: row for row in between}
     # CXLfork and CRIU-CXL checkpoints are decoupled: clones still spawn.
     assert by_mech["cxlfork"].survived
     assert by_mech["criu-cxl"].survived
     # Mitosis' checkpoint died with its parent node (§3.1).
     assert not by_mech["mitosis-cxl"].survived
-    # And the surviving restores keep their usual cost ordering.
-    assert by_mech["cxlfork"].restore_ms < by_mech["criu-cxl"].restore_ms
+    # And the surviving recoveries keep their usual cost ordering.
+    assert by_mech["cxlfork"].recovery_ms < by_mech["criu-cxl"].recovery_ms
 
 
 def test_extension_bandwidth_scalability(once, capsys):

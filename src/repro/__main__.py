@@ -1,5 +1,9 @@
 """Command-line entry point: run any experiment by name.
 
+Experiments are the records of :func:`repro.experiments.registry`; ``run``
+prints the record's table and the ``sim_results_digest`` that
+``repro bench`` gates, and exits nonzero when the record's checks fail.
+
 Usage::
 
     python -m repro list
@@ -18,56 +22,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-#: Experiment name -> (module path, description).
-EXPERIMENTS = {
-    "table1": ("repro.experiments.table1", "Table 1: evaluation functions"),
-    "fig1": ("repro.experiments.fig1_footprint", "Fig. 1: footprint breakdown"),
-    "fig3": ("repro.experiments.fig3_motivation", "Fig. 3c: motivation on BERT"),
-    "fig6": ("repro.experiments.fig6_coldstart", "Fig. 6: cold-start anatomy"),
-    "fig7": ("repro.experiments.fig7_performance", "Fig. 7: rfork performance"),
-    "fig8": ("repro.experiments.fig8_tiering", "Fig. 8: tiering policies"),
-    "fig9": ("repro.experiments.fig9_sensitivity", "Fig. 9: latency sweep"),
-    "fig10": ("repro.experiments.fig10_porter", "Fig. 10: CXLporter"),
-    "checkpoint": ("repro.experiments.checkpoint_perf", "§7.1: checkpoint perf"),
-    "failure": ("repro.experiments.failure", "Extension: node failure"),
-    "failure-sweep": (
-        "repro.experiments.failure_sweep",
-        "Extension: crash-timing sweep (survival, recovery, leak audit)",
-    ),
-    "corruption-sweep": (
-        "repro.experiments.corruption_sweep",
-        "Extension: RAS poison sweep (detection, repair ladder, wrong-bytes)",
-    ),
-    "scalability": ("repro.experiments.scalability", "Extension: bandwidth scaling"),
-    "keepalive": ("repro.experiments.keepalive_study", "Extension: keep-alive sweep"),
-    "density": (
-        "repro.experiments.density",
-        "Extension: instances per memory budget + cross-checkpoint dedup",
-    ),
-    "write-heavy": ("repro.experiments.write_heavy", "Extension: write-heavy workloads"),
-    "cluster-scale": (
-        "repro.experiments.cluster_scale",
-        "Extension: federated CXL pods vs one naive big pod (§8)",
-    ),
-}
-
-#: Experiments whose CLI accepts ``--seed`` (the rest are deterministic
-#: closed-form sweeps with nothing to reseed).
-SEED_AWARE = {"cluster-scale", "corruption-sweep", "failure-sweep", "fig10"}
-
-#: Experiments whose grid runs on the deterministic parallel executor
-#: (``repro.parallel``): ``--jobs N`` shards their sweep points across N
-#: shared-nothing worker processes with bit-identical merged results.
-JOBS_AWARE = {
-    "fig7", "fig10", "failure-sweep", "corruption-sweep", "cluster-scale",
-    "scalability", "density",
-}
-
 
 def _cmd_list() -> int:
-    width = max(len(name) for name in EXPERIMENTS)
-    for name, (_, description) in EXPERIMENTS.items():
-        print(f"{name:<{width}}  {description}")
+    from repro.experiments import registry
+
+    records = registry()
+    width = max(len(name) for name in records)
+    for name, record in records.items():
+        print(f"{name:<{width}}  {record.description}")
     return 0
 
 
@@ -90,83 +52,37 @@ def _cmd_run(
         print(f"\n[check] {CHECK.summary()}")
         return status
 
-    entry = EXPERIMENTS.get(name)
-    if entry is None:
+    from repro.bench import results_digest
+    from repro.experiments import registry
+    from repro.parallel import resolve_jobs
+
+    record = registry().get(name)
+    if record is None:
         print(f"unknown experiment {name!r}; `python -m repro list`",
               file=sys.stderr)
         return 2
-    if seed is not None and name not in SEED_AWARE:
+    if seed is not None and record.seed is None:
+        seeded = sorted(r.name for r in registry().values() if r.seed is not None)
         print(f"experiment {name!r} does not take a seed "
-              f"(seed-aware: {', '.join(sorted(SEED_AWARE))})",
-              file=sys.stderr)
+              f"(seed-aware: {', '.join(seeded)})", file=sys.stderr)
         return 2
-    if jobs != 1 and name not in JOBS_AWARE:
+    try:
+        workers = resolve_jobs(jobs)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if jobs != 1 and not record.sharded:
+        sharded = sorted(r.name for r in registry().values() if r.sharded)
         print(f"experiment {name!r} does not shard over --jobs "
-              f"(jobs-aware: {', '.join(sorted(JOBS_AWARE))})",
-              file=sys.stderr)
+              f"(jobs-aware: {', '.join(sharded)})", file=sys.stderr)
         return 2
-    if jobs == 0:
-        from repro.parallel import default_jobs
-
-        jobs = default_jobs()
-    module_path, _ = entry
-    import importlib
-
-    module = importlib.import_module(module_path)
-    if name == "failure-sweep":
-        from repro.experiments import failure_sweep
-
-        argv = ["--quick"] if fast else []
-        if seed is not None:
-            argv += ["--seed", str(seed)]
-        if jobs != 1:
-            argv += ["--jobs", str(jobs)]
-        return failure_sweep.main(argv)
-    if name == "corruption-sweep":
-        from repro.experiments import corruption_sweep
-
-        argv = ["--quick"] if fast else []
-        if seed is not None:
-            argv += ["--seed", str(seed)]
-        if jobs != 1:
-            argv += ["--jobs", str(jobs)]
-        return corruption_sweep.main(argv)
-    if name == "cluster-scale":
-        from repro.experiments import cluster_scale
-
-        argv = ["--quick"] if fast else []
-        if seed is not None:
-            argv += ["--seed", str(seed)]
-        if jobs != 1:
-            argv += ["--jobs", str(jobs)]
-        return cluster_scale.main(argv)
-    if name == "density":
-        from repro.experiments import density
-
-        argv = ["--quick"] if fast else []
-        if jobs != 1:
-            argv += ["--jobs", str(jobs)]
-        return density.main(argv)
-    if name == "fig10":
-        from repro.experiments import fig10_porter
-
-        if not fast and seed is None:
-            module.main(jobs=jobs)
-            return 0
-        config = fig10_porter.Fig10Config(
-            **({"total_rps": 80, "duration_s": 8} if fast else {}),
-            **({"seed": seed} if seed is not None else {}),
-        )
-        rows = fig10_porter.run(config, jobs=jobs)
-        print(fig10_porter.format_rows([r for r in rows if r.function == "ALL"]))
-        for key, value in fig10_porter.summarize(rows).items():
-            print(f"{key:>40}: {value:.3f}")
-        return 0
-    if name in JOBS_AWARE:
-        module.main(jobs=jobs)
-        return 0
-    module.main()
-    return 0
+    result = record.run(fast, record.seed if seed is None else seed, workers)
+    print(record.format(result))
+    print(f"\nsim_results_digest: {results_digest(result)}")
+    failures = record.check(result)
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
 
 
 def _cmd_trace(
@@ -179,10 +95,6 @@ def _cmd_trace(
     from repro.analysis.report import format_phase_breakdown
     from repro.telemetry import TRACE, write_chrome_trace, write_jsonl
 
-    if name not in EXPERIMENTS:
-        print(f"unknown experiment {name!r}; `python -m repro list`",
-              file=sys.stderr)
-        return 2
     TRACE.reset()
     TRACE.enable()
     try:
@@ -238,12 +150,14 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment", help="experiment name (see `list`)")
     run_parser.add_argument("--fast", action="store_true",
-                            help="reduced scale where supported")
+                            help="reduced scale (the bench quick config for "
+                                 "baselined experiments)")
     run_parser.add_argument("--check", action="store_true",
                             help="run under the repro.check differential "
                                  "oracle + invariant checker")
     run_parser.add_argument("--seed", type=int, default=None,
-                            help="trace seed (seed-aware experiments only)")
+                            help="seed (seed-aware experiments only; "
+                                 "default: the experiment's own)")
     run_parser.add_argument("--jobs", type=int, default=1,
                             help="worker processes for sweep grids "
                                  "(0 = one per CPU; results are "
@@ -253,7 +167,7 @@ def main(argv=None) -> int:
     )
     trace_parser.add_argument("experiment", help="experiment name (see `list`)")
     trace_parser.add_argument("--fast", action="store_true",
-                              help="reduced scale where supported")
+                              help="reduced scale")
     trace_parser.add_argument("-o", "--output", default=None,
                               help="Chrome trace-event JSON path "
                                    "(default: trace-<experiment>.json)")

@@ -35,165 +35,16 @@ from typing import Any, Callable, Optional
 #: Default headroom before a full-mode wall-time comparison fails.
 DEFAULT_TOLERANCE = 0.5
 
-#: Quick-mode subset for fig7 (two functions spanning tiny and mid-size
-#: working sets; full mode runs all ten Table-1 functions).
-FIG7_QUICK_FUNCTIONS = ["float", "json"]
 
+def bench_experiments() -> dict:
+    """Experiment records with a committed baseline, by baseline name.
 
-@dataclasses.dataclass
-class BenchSpec:
-    """How to run one experiment under the harness.
-
-    Runners take the worker-process count (``jobs``); experiments whose
-    grid has been refactored onto :mod:`repro.parallel` fan sweep points
-    out to that many shared-nothing workers, the rest ignore it
-    (``parallel=False``) and always run serially.
+    Quick mode runs a record's quick config, full mode its full config; a
+    record that is not ``sharded`` always runs serially.
     """
+    from repro.experiments import registry
 
-    name: str
-    description: str
-    run_full: Callable[[int], Any]
-    run_quick: Callable[[int], Any]
-    parallel: bool = True
-
-
-def _fig7_full(jobs: int) -> Any:
-    from repro.experiments import fig7_performance
-
-    return fig7_performance.run(jobs=jobs)
-
-
-def _fig7_quick(jobs: int) -> Any:
-    from repro.experiments import fig7_performance
-
-    return fig7_performance.run(functions=FIG7_QUICK_FUNCTIONS, jobs=jobs)
-
-
-def _fig3(jobs: int) -> Any:  # noqa: ARG001 - single cell, nothing to shard
-    from repro.experiments import fig3_motivation
-
-    return fig3_motivation.run()
-
-
-def _fig10(total_rps: float, duration_s: float, jobs: int) -> Any:
-    from repro.experiments import fig10_porter
-
-    config = fig10_porter.Fig10Config(total_rps=total_rps, duration_s=duration_s)
-    return fig10_porter.run(config, jobs=jobs)
-
-
-def _failure_sweep(quick: bool, jobs: int) -> Any:
-    from repro.experiments import failure_sweep
-
-    rows = failure_sweep.run(quick=quick, seed=0, jobs=jobs)
-    leaked = sum(r.leaked_frames for r in rows)
-    if leaked:
-        raise RuntimeError(f"failure sweep leaked {leaked} frames")
-    return rows
-
-
-def _corruption(quick: bool, jobs: int) -> Any:
-    from repro.experiments import corruption_sweep
-
-    rows = corruption_sweep.run(quick=quick, seed=0, jobs=jobs)
-    leaked = sum(r.leaked_frames for r in rows)
-    if leaked:
-        raise RuntimeError(f"corruption sweep leaked {leaked} frames")
-    wrong_on = sum(r.wrong_bytes for r in rows if r.checksums)
-    if wrong_on:
-        raise RuntimeError(
-            f"corruption sweep served {wrong_on} corrupt bytes with checksums on"
-        )
-    return rows
-
-
-def _cluster(quick: bool, jobs: int) -> Any:
-    from repro.experiments import cluster_scale
-
-    config = (
-        cluster_scale.ClusterScaleConfig.quick()
-        if quick
-        else cluster_scale.ClusterScaleConfig()
-    )
-    rows = cluster_scale.run(config, jobs=jobs)
-    # Digest the summary too: the committed baseline then *records* the
-    # federated-vs-single-pod verdict, and any change to it fails bench.
-    return {"rows": rows, "summary": cluster_scale.summarize(rows)}
-
-
-def _density(quick: bool, jobs: int) -> Any:
-    from repro.experiments import density
-
-    rows = density.run_cross(quick=quick, jobs=jobs)
-    dirty = [r for r in rows if not r.audit_clean]
-    if dirty:
-        raise RuntimeError(
-            f"density cross sweep: {len(dirty)} row(s) failed the pod audit"
-        )
-    summary = density.summarize_cross(rows)
-    # The committed baseline *records* dedup's win; these gates make a
-    # regression (dedup stops sharing, delta stops saving) a hard failure
-    # rather than a silently drifting number.
-    for fn in sorted({r.function for r in rows}):
-        gain = summary[f"{fn}_density_gain"]
-        if gain <= 1.0:
-            raise RuntimeError(
-                "density cross sweep: dedup did not improve instances-per-GB "
-                f"for {fn} (gain {gain:.3f}x)"
-            )
-        if summary[f"{fn}_wire_delta_mb"] >= summary[f"{fn}_wire_full_mb"]:
-            raise RuntimeError(
-                "density cross sweep: delta replication did not save wire "
-                f"bytes for {fn}"
-            )
-    return {"rows": rows, "summary": summary}
-
-
-BENCH_EXPERIMENTS: dict[str, BenchSpec] = {
-    "fig7": BenchSpec(
-        name="fig7",
-        description="Fig. 7 rfork performance (the hottest simulator path)",
-        run_full=_fig7_full,
-        run_quick=_fig7_quick,
-    ),
-    "fig3": BenchSpec(
-        name="fig3",
-        description="Fig. 3c motivation (BERT checkpoint scans)",
-        run_full=_fig3,
-        run_quick=_fig3,
-        parallel=False,
-    ),
-    "fig10": BenchSpec(
-        name="fig10",
-        description="Fig. 10 CXLporter (scheduler + invocation engine)",
-        run_full=lambda jobs: _fig10(80.0, 8.0, jobs),
-        run_quick=lambda jobs: _fig10(40.0, 4.0, jobs),
-    ),
-    "failure-sweep": BenchSpec(
-        name="failure-sweep",
-        description="Crash-timing sweep (fault injection + leak audit)",
-        run_full=lambda jobs: _failure_sweep(False, jobs),
-        run_quick=lambda jobs: _failure_sweep(True, jobs),
-    ),
-    "corruption": BenchSpec(
-        name="corruption",
-        description="RAS poison sweep (checksums, repair ladder, containment)",
-        run_full=lambda jobs: _corruption(False, jobs),
-        run_quick=lambda jobs: _corruption(True, jobs),
-    ),
-    "cluster": BenchSpec(
-        name="cluster",
-        description="Federated pods vs one naive big pod (router + replication)",
-        run_full=lambda jobs: _cluster(False, jobs),
-        run_quick=lambda jobs: _cluster(True, jobs),
-    ),
-    "density": BenchSpec(
-        name="density",
-        description="Cross-checkpoint dedup (instances-per-GB + delta wire bytes)",
-        run_full=lambda jobs: _density(False, jobs),
-        run_quick=lambda jobs: _density(True, jobs),
-    ),
-}
+    return {r.bench: r for r in registry().values() if r.bench is not None}
 
 
 # -- digesting -----------------------------------------------------------------
@@ -290,19 +141,23 @@ def run_bench(
     parallel-vs-serial digest cross-check: a scheduling-order leak into
     simulated results is a hard failure, not noise.
     """
-    spec = BENCH_EXPERIMENTS[name]
-    runner = spec.run_quick if quick else spec.run_full
-    effective_jobs = jobs if spec.parallel else 1
+    record = bench_experiments()[name]
+    effective_jobs = jobs if record.sharded else 1
     t0 = time.perf_counter()
-    result = runner(effective_jobs)
+    result = record.run(quick, record.seed, effective_jobs)
     wall_s = time.perf_counter() - t0
+    failures = record.check(result)
+    if failures:
+        raise RuntimeError(f"{name}: " + "; ".join(failures))
     digest = results_digest(result)
     host_calls: Optional[int] = None
     if count_calls and not quick:
         # host_calls is counted on a serial (jobs=1) run: profiling only
         # sees the coordinating process, so a parallel count would be a
         # meaningless fraction of the real work.
-        host_calls, recount = _count_host_calls(lambda: runner(1))
+        host_calls, recount = _count_host_calls(
+            lambda: record.run(quick, record.seed, 1)
+        )
         redigest = results_digest(recount)
         if redigest != digest:
             flavor = (
@@ -350,7 +205,7 @@ def sync_root_copies(
     """
     root = root if root is not None else repo_root()
     written = []
-    for name in names if names is not None else sorted(BENCH_EXPERIMENTS):
+    for name in names if names is not None else sorted(bench_experiments()):
         source = baseline_path(name, baseline_dir)
         if not source.exists():
             continue
@@ -374,7 +229,7 @@ def check_root_copies(
     """
     root = root if root is not None else repo_root()
     drifted = []
-    for name in names if names is not None else sorted(BENCH_EXPERIMENTS):
+    for name in names if names is not None else sorted(bench_experiments()):
         source = baseline_path(name, baseline_dir)
         if not source.exists():
             continue
@@ -527,10 +382,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="python -m repro bench",
         description="Wall-clock benchmark harness with digest determinism guard.",
     )
+    known = sorted(bench_experiments())
     parser.add_argument(
         "experiments",
         nargs="*",
-        help=f"experiments to benchmark (default: all of {sorted(BENCH_EXPERIMENTS)})",
+        help=f"experiments to benchmark (default: all of {known})",
     )
     parser.add_argument(
         "--quick",
@@ -590,23 +446,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.environ["REPRO_RESTORE_PLAN"] = "0"
         RESTORE_PLAN.reset()
 
-    names = args.experiments or sorted(BENCH_EXPERIMENTS)
-    unknown = [n for n in names if n not in BENCH_EXPERIMENTS]
+    names = args.experiments or known
+    unknown = [n for n in names if n not in known]
     if unknown:
-        print(
-            f"unknown experiment(s) {unknown}; known: {sorted(BENCH_EXPERIMENTS)}",
-            file=sys.stderr,
-        )
+        print(f"unknown experiment(s) {unknown}; known: {known}", file=sys.stderr)
         return 2
     baseline_dir = Path(args.baseline_dir) if args.baseline_dir else None
-    if args.jobs < 0:
-        print("--jobs must be >= 0", file=sys.stderr)
-        return 2
-    jobs = args.jobs
-    if jobs == 0:
-        from repro.parallel import default_jobs
+    from repro.parallel import resolve_jobs
 
-        jobs = default_jobs()
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     if args.check_sync:
         drifted = check_root_copies(names, baseline_dir)
@@ -649,10 +501,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 __all__ = [
-    "BENCH_EXPERIMENTS",
     "BenchResult",
-    "BenchSpec",
     "Comparison",
+    "bench_experiments",
     "check_root_copies",
     "compare_to_baseline",
     "default_baseline_dir",

@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.common import geometric_mean, make_pod, prepare_parent
+from repro.experiments import Experiment, with_summary
+from repro.experiments.common import (
+    FAST_FUNCTIONS,
+    geometric_mean,
+    make_pod,
+    prepare_parent,
+)
 from repro.faas.functions import function_names
 from repro.rfork.registry import get_mechanism
 from repro.sim.units import MIB, MS
@@ -87,13 +93,11 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>22}: {value:.2f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="checkpoint",
+        description="§7.1: checkpoint perf",
+        run=lambda quick, seed, jobs: run(FAST_FUNCTIONS if quick else None),
+        format=with_summary(format_rows, summarize=summarize),
+    ),
+)

@@ -26,13 +26,13 @@ cluster of CXL pods beats one giant pod.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cluster import ClusterRouter, RouterConfig, build_federation
 from repro.cxl.bandwidth import BandwidthTracker
 from repro.cxl.topology import PodTopology
+from repro.experiments import Experiment, with_summary
 from repro.faas.traces import TraceConfig, generate_trace
 from repro.os.fs.cxlfs import CxlFileSystem
 from repro.parallel import SweepPoint, run_points
@@ -299,43 +299,29 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro run cluster-scale",
-        description="Federated CXL pods vs one naive big pod.",
-    )
-    parser.add_argument(
-        "--quick", "--fast", action="store_true", dest="quick",
-        help="reduced scale (2 pods, 2 RPS points, small functions)",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="trace seed")
-    parser.add_argument(
-        "--pods", type=int, default=None, help="override the pod count"
-    )
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (results identical to 1)")
-    args = parser.parse_args(argv)
-
+def _run_result(quick: bool, seed: int, jobs: int) -> dict:
     config = (
-        ClusterScaleConfig.quick(seed=args.seed)
-        if args.quick
-        else ClusterScaleConfig(seed=args.seed)
+        ClusterScaleConfig.quick(seed=seed)
+        if quick
+        else ClusterScaleConfig(seed=seed)
     )
-    if args.pods is not None:
-        config.pod_count = args.pods
-    rows = run(config, jobs=args.jobs)
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        if isinstance(value, float):
-            print(f"{key:>36}: {value:.3f}")
-        else:
-            print(f"{key:>36}: {value}")
-    from repro.bench import results_digest
-
-    print(f"\nresults digest: {results_digest(rows)}")
-    return 0
+    rows = run(config, jobs=jobs)
+    # The summary is digested with the rows: the committed baseline then
+    # *records* the federated-vs-single-pod verdict.
+    return {"rows": rows, "summary": summarize(rows)}
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="cluster-scale",
+        description="Extension: federated CXL pods vs one naive big pod (§8)",
+        run=_run_result,
+        format=with_summary(
+            lambda result: format_rows(result["rows"]),
+            summarize=lambda result: result["summary"],
+        ),
+        seed=ClusterScaleConfig.seed,
+        sharded=True,
+        bench="cluster",
+    ),
+)

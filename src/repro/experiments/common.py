@@ -16,6 +16,10 @@ from repro.rfork.base import RestoreResult
 from repro.rfork.registry import get_mechanism
 from repro.sim.units import GIB, MIB, MS, PAGE_SIZE
 
+#: Per-function sweeps' reduced-scale subset: tiny, mid-size, and the two
+#: cache-exceeding functions (BFS, BERT).
+FAST_FUNCTIONS = ("float", "json", "bfs", "bert")
+
 
 @dataclass
 class Pod:

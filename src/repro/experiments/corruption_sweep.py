@@ -19,17 +19,16 @@ owner class, not a leak).  Rows are bit-identical for a given seed and
 for any ``--jobs`` value (the bench harness digests them), and the CLI
 exits nonzero on leaks or on wrong bytes in a checksums-on cell::
 
-    PYTHONPATH=src python -m repro.experiments.corruption_sweep --quick
     PYTHONPATH=src python -m repro run corruption-sweep --fast
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import PoisonError
+from repro.experiments import Experiment
 from repro.experiments.common import Pod, PreparedParent, make_pod, prepare_parent
 from repro.faults import FaultInjector, audit_pod
 from repro.parallel import SweepPoint, run_points
@@ -313,33 +312,30 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Poison-injection sweep: detection, containment, repair; "
-        "exits nonzero on leaked frames or wrong bytes under checksums."
-    )
-    parser.add_argument("--function", default="json")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer rates/policies/trials (CI smoke)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (results identical to 1)")
-    args = parser.parse_args(argv)
-    rows = run(args.function, quick=args.quick, seed=args.seed, jobs=args.jobs)
-    print(format_rows(rows))
-    status = 0
+def check(rows: list) -> list:
+    """Containment gates: no leaked frame, no corrupt byte served while
+    checksums are on."""
+    failures = []
     leaked = sum(r.leaked_frames for r in rows)
     if leaked:
-        print(f"\nFAIL: {leaked} leaked frames")
-        status = 1
+        failures.append(f"corruption sweep leaked {leaked} frames")
     wrong_on = sum(r.wrong_bytes for r in rows if r.checksums)
     if wrong_on:
-        print(f"\nFAIL: {wrong_on} corrupt bytes served despite checksums")
-        status = 1
-    return status
+        failures.append(
+            f"corruption sweep served {wrong_on} corrupt bytes with checksums on"
+        )
+    return failures
 
 
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+EXPERIMENTS = (
+    Experiment(
+        name="corruption-sweep",
+        description="Extension: RAS poison sweep (detection, repair ladder, wrong-bytes)",
+        run=lambda quick, seed, jobs: run(quick=quick, seed=seed, jobs=jobs),
+        format=format_rows,
+        check=check,
+        seed=0,
+        sharded=True,
+        bench="corruption",
+    ),
+)

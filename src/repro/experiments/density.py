@@ -26,11 +26,10 @@ the deterministic executor, so ``--jobs 8`` merges bit-identical to
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.cxl.allocator import OutOfMemoryError
+from repro.experiments import Experiment, with_summary
 from repro.experiments.common import make_pod, prepare_parent
 from repro.parallel import SweepPoint, run_points_flat
 from repro.rfork.registry import get_mechanism
@@ -351,40 +350,54 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Function density: instances per memory budget, plus "
-        "the cross-checkpoint dedup sweep (device growth, instances-per-GB "
-        "of checkpoint storage, full vs delta replication bytes)."
-    )
-    parser.add_argument("--function", default="bert",
-                        help="function for the classic budget experiment")
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid, small function (CI smoke)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (results identical to 1)")
-    parser.add_argument("--cross-only", action="store_true",
-                        help="skip the classic budget experiment")
-    args = parser.parse_args(argv)
-
-    if not args.cross_only and not args.quick:
-        rows = run(args.function)
-        print(format_rows(rows))
-        print()
-        for key, value in summarize(rows).items():
-            print(f"{key:>28}: {value:.1f}")
-        print()
-
-    cross = run_cross(quick=args.quick, jobs=args.jobs)
-    print(format_cross(cross))
-    print()
-    for key, value in summarize_cross(cross).items():
-        print(f"{key:>36}: {value:.3f}")
-    if not all(r.audit_clean for r in cross):
-        print("\nFAIL: pod audit found leaked frames or chunk mismatches")
-        return 1
-    return 0
+def _run_cross_result(quick: bool, jobs: int) -> dict:
+    # The summary is digested with the rows: the committed baseline then
+    # *records* dedup's win.
+    rows = run_cross(quick=quick, jobs=jobs)
+    return {"rows": rows, "summary": summarize_cross(rows)}
 
 
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def check_cross(result: dict) -> list:
+    """Audits must be clean, and dedup must strictly win: a regression
+    (dedup stops sharing, delta stops saving) fails rather than drifts."""
+    rows, summary = result["rows"], result["summary"]
+    dirty = [r for r in rows if not r.audit_clean]
+    if dirty:
+        return [f"density cross sweep: {len(dirty)} row(s) failed the pod audit"]
+    failures = []
+    for fn in sorted({r.function for r in rows}):
+        gain = summary[f"{fn}_density_gain"]
+        if gain <= 1.0:
+            failures.append(
+                "density cross sweep: dedup did not improve instances-per-GB "
+                f"for {fn} (gain {gain:.3f}x)"
+            )
+        if summary[f"{fn}_wire_delta_mb"] >= summary[f"{fn}_wire_full_mb"]:
+            failures.append(
+                "density cross sweep: delta replication did not save wire "
+                f"bytes for {fn}"
+            )
+    return failures
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="density",
+        description="Extension: cross-checkpoint dedup (instances-per-GB + delta wire bytes)",
+        run=lambda quick, seed, jobs: _run_cross_result(quick, jobs),
+        format=with_summary(
+            lambda result: format_cross(result["rows"]),
+            summarize=lambda result: result["summary"],
+        ),
+        check=check_cross,
+        sharded=True,
+        bench="density",
+    ),
+    Experiment(
+        name="density-budget",
+        description="Extension: BERT instances per 3 GiB of node DRAM",
+        # A few seconds at full scale: quick and full are the same run.
+        run=lambda quick, seed, jobs: run("bert"),
+        format=with_summary(format_rows, summarize=summarize),
+    ),
+)

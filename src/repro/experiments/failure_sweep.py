@@ -25,16 +25,15 @@ strand CXL or DRAM frames, no matter when it lands.
 Every run with the same seed is bit-identical (the bench harness digests
 the rows), and the CLI exits nonzero on any leak, so CI can gate on it::
 
-    PYTHONPATH=src python -m repro.experiments.failure_sweep --quick
-    PYTHONPATH=src python -m repro run failure-sweep --fast
+    PYTHONPATH=src python -m repro run failure-sweep --fast --seed 0
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.experiments import Experiment
 from repro.experiments.common import Pod, PreparedParent, make_pod, prepare_parent
 from repro.faults import FaultInjector, InjectedCrash, audit_pod
 from repro.os.kernel import NodeFailedError
@@ -287,28 +286,21 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Crash-timing sweep across the checkpoint/restore "
-        "lifecycle; exits nonzero on any leaked frame."
-    )
-    parser.add_argument("--function", default="json")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer crash fractions (CI smoke)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (results identical to 1)")
-    args = parser.parse_args(argv)
-    rows = run(args.function, quick=args.quick, seed=args.seed, jobs=args.jobs)
-    print(format_rows(rows))
+def check(rows: list) -> list:
+    """The acceptance invariant: no crash point may leak a frame."""
     leaked = sum(r.leaked_frames for r in rows)
-    if leaked:
-        print(f"\nFAIL: {leaked} leaked frames")
-        return 1
-    return 0
+    return [f"failure sweep leaked {leaked} frames"] if leaked else []
 
 
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+EXPERIMENTS = (
+    Experiment(
+        name="failure-sweep",
+        description="Extension: crash-timing sweep (survival, recovery, leak audit)",
+        run=lambda quick, seed, jobs: run(quick=quick, seed=seed, jobs=jobs),
+        format=format_rows,
+        check=check,
+        seed=0,
+        sharded=True,
+        bench="failure-sweep",
+    ),
+)

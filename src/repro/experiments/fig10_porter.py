@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cxl.topology import PodTopology
+from repro.experiments import Experiment, with_summary
 from repro.faas.functions import function_names
 from repro.faas.traces import TraceConfig, generate_trace
 from repro.os.fs.cxlfs import CxlFileSystem
@@ -186,14 +187,28 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main(jobs: int = 1) -> None:  # pragma: no cover - CLI convenience
-    config = Fig10Config(memory_fractions=(1.0, 0.5, 0.25))
-    rows = run(config, jobs=jobs)
-    print(format_rows([r for r in rows if r.function == "ALL"]))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>36}: {value:.3f}")
+def _run(quick: bool, seed: int, jobs: int) -> list:
+    """The benchmarked campaign: one memory level, 80 rps for 8 s (quick:
+    40 rps for 4 s)."""
+    config = Fig10Config(
+        total_rps=40.0 if quick else 80.0,
+        duration_s=4.0 if quick else 8.0,
+        seed=seed,
+    )
+    return run(config, jobs=jobs)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="fig10",
+        description="Fig. 10: CXLporter",
+        run=_run,
+        format=with_summary(
+            lambda rows: format_rows([r for r in rows if r.function == "ALL"]),
+            summarize=summarize,
+        ),
+        seed=Fig10Config.seed,
+        sharded=True,
+        bench="fig10",
+    ),
+)

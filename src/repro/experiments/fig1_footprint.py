@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.experiments.common import make_pod
+from repro.experiments import Experiment
+from repro.experiments.common import FAST_FUNCTIONS, make_pod
 from repro.faas.functions import function_names
 from repro.faas.workload import FunctionWorkload
 from repro.os.mm.pte import PteFlags
@@ -105,9 +106,13 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="fig1",
+        description="Fig. 1: footprint breakdown",
+        run=lambda quick, seed, jobs: (
+            run(FAST_FUNCTIONS, invocations=32) if quick else run()
+        ),
+        format=format_rows,
+    ),
+)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments import Experiment
 from repro.experiments.common import make_pod, measure_cold_start, prepare_parent
 from repro.sim.units import MS
 
@@ -84,9 +85,13 @@ def format_result(result: Fig3Result) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="fig3",
+        description="Fig. 3c: motivation on BERT",
+        # One BERT cell per mechanism: quick and full are the same run.
+        run=lambda quick, seed, jobs: run(),
+        format=format_result,
+        bench="fig3",
+    ),
+)

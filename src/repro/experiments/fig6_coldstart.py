@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.common import make_pod
+from repro.experiments import Experiment, with_summary
+from repro.experiments.common import FAST_FUNCTIONS, make_pod
 from repro.faas.container import ContainerFactory
 from repro.faas.functions import function_names
 from repro.faas.workload import FunctionWorkload
@@ -75,11 +76,11 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print(summarize(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="fig6",
+        description="Fig. 6: cold-start anatomy",
+        run=lambda quick, seed, jobs: run(FAST_FUNCTIONS if quick else None),
+        format=with_summary(format_rows, summarize=summarize),
+    ),
+)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.experiments import Experiment, with_summary
 from repro.experiments.common import (
     geometric_mean,
     make_pod,
@@ -25,6 +26,10 @@ from repro.sim.units import MS
 
 #: Mechanisms shown in Fig. 7, in plot order.
 FIG7_MECHANISMS = ("cold", "localfork", "criu-cxl", "mitosis-cxl", "cxlfork")
+
+#: Quick-mode subset (two functions spanning tiny and mid-size working
+#: sets; full mode runs all ten Table-1 functions).
+QUICK_FUNCTIONS = ["float", "json"]
 
 
 @dataclass
@@ -157,15 +162,15 @@ def chart(rows: list) -> str:
     return ascii_bar_chart(groups, unit=" ms")
 
 
-def main(jobs: int = 1) -> None:  # pragma: no cover - CLI convenience
-    rows = run(jobs=jobs)
-    print(format_rows(rows))
-    print()
-    print(chart(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>28}: {value:.3f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="fig7",
+        description="Fig. 7: rfork performance",
+        run=lambda quick, seed, jobs: run(
+            QUICK_FUNCTIONS if quick else None, jobs=jobs
+        ),
+        format=with_summary(format_rows, chart, summarize=summarize),
+        sharded=True,
+        bench="fig7",
+    ),
+)

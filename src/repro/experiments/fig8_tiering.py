@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.common import child_local_bytes, make_pod, prepare_parent
+from repro.experiments import Experiment, with_summary
+from repro.experiments.common import (
+    FAST_FUNCTIONS,
+    child_local_bytes,
+    make_pod,
+    prepare_parent,
+)
 from repro.faas.functions import function_names
 from repro.rfork.cxlfork import CxlFork
 from repro.sim.units import MIB, MS
@@ -115,13 +121,11 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>24}: {value if isinstance(value, bool) else f'{value:.3f}'}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="fig8",
+        description="Fig. 8: tiering policies",
+        run=lambda quick, seed, jobs: run(FAST_FUNCTIONS if quick else None),
+        format=with_summary(format_rows, summarize=summarize),
+    ),
+)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cxl.latency import MemoryLatencyModel
+from repro.experiments import Experiment, with_summary
 from repro.experiments.common import make_pod, measure_cold_start, prepare_parent
 
 #: The sweep points (round-trip ns); 400 ≈ the real device, 100 ≈ local.
@@ -128,15 +129,15 @@ def chart(rows: list) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print()
-    print(chart(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>28}: {value:.3f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="fig9",
+        description="Fig. 9: CXL latency sweep",
+        run=lambda quick, seed, jobs: (
+            run(functions=["float", "bert"], latencies=[400.0, 100.0])
+            if quick
+            else run()
+        ),
+        format=with_summary(format_rows, chart, summarize=summarize),
+    ),
+)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cxl.topology import PodTopology
+from repro.experiments import Experiment, with_summary
 from repro.faas.traces import TraceConfig, generate_trace
 from repro.porter.autoscaler import CxlPorter, PorterConfig
 from repro.porter.keepalive import KeepAlivePolicy
@@ -118,13 +119,14 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>32}: {value:.3f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="keepalive",
+        description="Extension: keep-alive sweep",
+        # Quick keeps the two extreme windows the summary compares.
+        run=lambda quick, seed, jobs: run(
+            (WINDOWS_S[0], WINDOWS_S[-1]) if quick else WINDOWS_S
+        ),
+        format=with_summary(format_rows, summarize=summarize),
+    ),
+)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.cxl.bandwidth import BandwidthTracker
 from repro.cxl.topology import PodTopology
+from repro.experiments import Experiment, with_summary
 from repro.faas.workload import FunctionWorkload
 from repro.parallel import SweepPoint, run_points
 from repro.rfork.cxlfork import CxlFork
@@ -167,13 +168,14 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main(jobs: int = 1) -> None:  # pragma: no cover - CLI convenience
-    rows = run(jobs=jobs)
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>32}: {value:.2f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="scalability",
+        description="Extension: bandwidth scaling",
+        run=lambda quick, seed, jobs: run(
+            node_counts=(2, 8) if quick else (2, 4, 8, 16), jobs=jobs
+        ),
+        format=with_summary(format_rows, summarize=summarize),
+        sharded=True,
+    ),
+)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.experiments import Experiment
 from repro.faas.functions import TABLE1
 
 
@@ -17,9 +18,11 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="table1",
+        description="Table 1: evaluation functions",
+        run=lambda quick, seed, jobs: run(),
+        format=format_rows,
+    ),
+)

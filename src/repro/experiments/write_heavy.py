@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments import Experiment, with_summary
 from repro.experiments.common import child_local_bytes, make_pod
 from repro.faas.functions import FunctionSpec
 from repro.faas.workload import FunctionWorkload
@@ -120,14 +121,12 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        text = value if isinstance(value, bool) else f"{value:.3f}"
-        print(f"{key:>34}: {text}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="write-heavy",
+        description="Extension: write-heavy workloads",
+        # Four sub-second points: quick and full are the same run.
+        run=lambda quick, seed, jobs: run(),
+        format=with_summary(format_rows, summarize=summarize),
+    ),
+)

@@ -7,7 +7,12 @@ order, so the output (and its bench digest) is bit-identical to the
 serial run.  See :mod:`repro.parallel.executor` for the contract.
 """
 
-from repro.parallel.executor import default_jobs, run_points, run_points_flat
+from repro.parallel.executor import (
+    default_jobs,
+    resolve_jobs,
+    run_points,
+    run_points_flat,
+)
 from repro.parallel.points import SweepPoint, canonical_params, derive_seed
 
 __all__ = [
@@ -15,6 +20,7 @@ __all__ = [
     "canonical_params",
     "default_jobs",
     "derive_seed",
+    "resolve_jobs",
     "run_points",
     "run_points_flat",
 ]

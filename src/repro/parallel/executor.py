@@ -36,6 +36,16 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def resolve_jobs(jobs: int) -> int:
+    """A ``--jobs`` value as a worker count: 0 means one per CPU.
+
+    Negative counts raise :class:`ValueError` (the CLIs report it and exit 2).
+    """
+    if jobs < 0:
+        raise ValueError("--jobs must be >= 0")
+    return jobs or default_jobs()
+
+
 def run_points(
     points: Iterable[SweepPoint],
     worker: Callable[[SweepPoint], Any],

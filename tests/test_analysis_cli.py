@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
 from repro.analysis.stats import geometric_mean, percentile, summary_stats
 from repro.analysis.tables import format_table
+from repro.experiments import Experiment, registry
 
 
 class TestStats:
@@ -50,7 +51,7 @@ class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in registry():
             assert name in out
 
     def test_run_table1(self, capsys):
@@ -104,10 +105,17 @@ class TestCli:
     def test_registry_modules_importable(self):
         import importlib
 
-        for module_path, _ in EXPERIMENTS.values():
-            module = importlib.import_module(module_path)
-            assert hasattr(module, "run")
-            assert hasattr(module, "main")
+        import repro.experiments as package
+
+        for module_name in package.__all__:
+            module = importlib.import_module(f"repro.experiments.{module_name}")
+            # The registry is the only entry point: no per-module CLIs.
+            assert not hasattr(module, "main")
+        for record in registry().values():
+            assert isinstance(record, Experiment)
+            assert callable(record.run)
+            assert callable(record.format)
+            assert callable(record.check)
 
     def test_experiments_all_lists_every_module(self):
         import pkgutil
@@ -116,8 +124,6 @@ class TestCli:
 
         modules = {m.name for m in pkgutil.iter_modules(package.__path__)}
         assert set(package.__all__) == modules
-        for module_path, _ in EXPERIMENTS.values():
-            assert module_path.rsplit(".", 1)[-1] in package.__all__
 
 
 class TestDedupAccounting:

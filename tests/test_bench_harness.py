@@ -12,8 +12,8 @@ import pytest
 
 from repro import bench
 from repro.bench import (
-    BENCH_EXPERIMENTS,
     BenchResult,
+    bench_experiments,
     compare_to_baseline,
     load_baseline,
     results_digest,
@@ -127,8 +127,9 @@ class TestDeterminism:
 
     @pytest.fixture(scope="class")
     def quick_runs(self):
-        first = fig7_performance.run(functions=bench.FIG7_QUICK_FUNCTIONS)
-        second = fig7_performance.run(functions=bench.FIG7_QUICK_FUNCTIONS)
+        quick = fig7_performance.QUICK_FUNCTIONS
+        first = fig7_performance.run(functions=quick)
+        second = fig7_performance.run(functions=quick)
         harness = run_bench("fig7", quick=True)
         return first, second, harness
 
@@ -254,7 +255,7 @@ class TestJobsField:
 
 class TestBenchRegistry:
     def test_all_baselined_experiments_registered(self):
-        assert {"fig7", "fig3", "fig10"} <= set(BENCH_EXPERIMENTS)
+        assert {"fig7", "fig3", "fig10"} <= set(bench_experiments())
 
     def test_cli_rejects_unknown_experiment(self, capsys):
         assert bench.main(["nope"]) == 2

@@ -6,8 +6,8 @@ import json
 
 from repro import bench
 from repro.bench import (
-    BENCH_EXPERIMENTS,
     BenchResult,
+    bench_experiments,
     check_root_copies,
     sync_root_copies,
     write_baseline,
@@ -53,12 +53,12 @@ class TestSyncRootCopies:
         baselines = tmp_path / "baselines"
         root = tmp_path / "root"
         root.mkdir()
-        for name in BENCH_EXPERIMENTS:
+        for name in bench_experiments():
             write_baseline(name, _result("full", "a" * 64),
                            _result("quick", "b" * 64), baselines)
         written = sync_root_copies(None, baselines, root)
         assert {p.name for p in written} == {
-            f"BENCH_{name}.json" for name in BENCH_EXPERIMENTS
+            f"BENCH_{name}.json" for name in bench_experiments()
         }
 
 

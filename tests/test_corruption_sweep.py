@@ -98,9 +98,9 @@ class TestDeterminism:
 
 class TestCli:
     def test_main_exits_zero_on_quick_grid(self, capsys):
-        status = corruption_sweep.main(
-            ["--quick", "--function", "float", "--jobs", "2"]
-        )
+        from repro.__main__ import main
+
+        status = main(["run", "corruption-sweep", "--fast", "--jobs", "2"])
         out = capsys.readouterr().out
         assert status == 0
         assert "checksums on: 0" in out

@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments import (
     checkpoint_perf,
-    failure,
+    failure_sweep,
     fig1_footprint,
     fig6_coldstart,
     fig7_performance,
@@ -85,12 +85,17 @@ class TestPlatformExperiments:
         assert len(rows) == 2
         assert rows[0].warm_hits + rows[0].restores > 0
 
-    def test_failure(self):
-        rows = failure.run("float")
+    def test_failure_sweep_between_stage(self):
+        """§3.1: the source node dies after checkpointing, before any restore."""
+        points = [
+            p for p in failure_sweep.points("float") if p.param("stage") == "between"
+        ]
+        rows = [failure_sweep.run_point(p) for p in points]
         outcomes = {r.mechanism: r.survived for r in rows}
         assert outcomes == {
             "cxlfork": True, "criu-cxl": True, "mitosis-cxl": False,
         }
+        assert all(r.leaked_frames == 0 for r in rows)
 
     def test_scalability_tiny(self):
         rows = scalability.run(node_counts=(2,), policies=("mow",), function="float")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import (
     density,
-    failure,
+    failure_sweep,
     fig7_performance,
     fig9_sensitivity,
     keepalive_study,
@@ -42,13 +42,15 @@ class TestFormatters:
         assert "98" in text
         assert f"{row.dedup_saved_mb:.0f}" in text
 
-    def test_failure_format(self):
-        row = failure.FailureRow(
-            mechanism="mitosis-cxl", survived=False, restore_ms=0.0,
-            detail="checkpoint lost",
+    def test_failure_sweep_format(self):
+        row = failure_sweep.SweepRow(
+            mechanism="mitosis-cxl", stage="between", fraction=0.0,
+            crashed_node="node0", survived=False, recovery_ms=0.0,
+            leaked_frames=0, detail="checkpoint lost",
         )
-        text = failure.format_rows([row])
+        text = failure_sweep.format_rows([row])
         assert "False" in text and "checkpoint lost" in text
+        assert "mitosis-cxl  survival rate: 0%" in text
 
     def test_write_heavy_format(self):
         row = write_heavy.WriteHeavyRow(
