@@ -41,7 +41,7 @@ def _cmd_run(
     jobs: int = 1,
 ) -> int:
     if check:
-        from repro.check import CHECK
+        from repro.check import CHECK, summary_line
 
         CHECK.reset()
         CHECK.enable()
@@ -49,7 +49,7 @@ def _cmd_run(
             status = _cmd_run(name, fast, check=False, seed=seed, jobs=jobs)
         finally:
             CHECK.disable()
-        print(f"\n[check] {CHECK.summary()}")
+        print(f"\n[check] {summary_line()}")
         return status
 
     from repro.bench import results_digest

@@ -18,8 +18,8 @@ cheaper.  This package proves it on every run that opts in:
 * :mod:`repro.check.mutation` — env-var-gated deliberate bugs that the
   oracle must catch (the checker's own smoke test).
 
-Like :data:`repro.telemetry.TRACE`, a process-global :data:`CHECK` toggle
-lets the CLI (``python -m repro run <exp> --check``) and the experiment
+A process-global :class:`~repro.sim.switch.Switch`, :data:`CHECK`, lets
+the CLI (``python -m repro run <exp> --check``) and the experiment
 plumbing enable checking without threading a flag through every call site.
 All checks are read-only walks of simulator state and never advance a
 virtual clock, so enabling them cannot perturb experiment outputs — bench
@@ -29,6 +29,8 @@ digests stay bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.sim.switch import Switch
 
 
 class CheckFailure(AssertionError):
@@ -46,48 +48,27 @@ class CheckStats:
     failures: list = field(default_factory=list)
 
 
-class CheckRuntime:
-    """Process-global switch for the correctness checkers.
-
-    Disabled by default (zero overhead).  When enabled, the experiment
-    plumbing snapshots parents, diffs children, and runs invariant sweeps;
-    any failure raises :class:`CheckFailure` unless ``raise_on_failure`` is
-    cleared, in which case failures accumulate in ``stats.failures``.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.raise_on_failure = True
-        self.stats = CheckStats()
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self.enabled = False
-        self.raise_on_failure = True
-        self.stats = CheckStats()
-
-    def fail(self, message: str) -> None:
-        """Record a check failure; raise unless in accumulate mode."""
-        self.stats.failures.append(message)
-        if self.raise_on_failure:
-            raise CheckFailure(message)
-
-    def summary(self) -> str:
-        s = self.stats
-        status = "clean" if not s.failures else f"{len(s.failures)} FAILURE(S)"
-        return (
-            f"check: {s.oracle_runs} oracle run(s), "
-            f"{s.invariant_runs} invariant sweep(s), "
-            f"{s.divergences} divergence(s), {s.violations} violation(s) — {status}"
-        )
+def fail(message: str) -> None:
+    """Record a check failure on :data:`CHECK` and raise it."""
+    CHECK.stats.failures.append(message)
+    raise CheckFailure(message)
 
 
-#: The process-global checking runtime (mirrors ``telemetry.TRACE``).
-CHECK = CheckRuntime()
+def summary_line() -> str:
+    """One line for the CLI: the counts since the last reset and a verdict."""
+    s = CHECK.stats
+    status = "clean" if not s.failures else f"{len(s.failures)} FAILURE(S)"
+    return (
+        f"check: {s.oracle_runs} oracle run(s), "
+        f"{s.invariant_runs} invariant sweep(s), "
+        f"{s.divergences} divergence(s), {s.violations} violation(s) — {status}"
+    )
 
-__all__ = ["CHECK", "CheckFailure", "CheckRuntime", "CheckStats"]
+
+#: The process-global checking switch, off by default (zero overhead).
+#: When active, the experiment plumbing snapshots parents, diffs
+#: children, and runs invariant sweeps; any failure raises
+#: :class:`CheckFailure`.  ``CHECK.stats`` counts since the last reset.
+CHECK = Switch("check", counters={"stats": CheckStats})
+
+__all__ = ["CHECK", "CheckFailure", "CheckStats", "fail", "summary_line"]

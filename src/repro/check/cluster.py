@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.check import CHECK
+from repro.check import CHECK, fail
 
 
 @dataclass
@@ -76,13 +76,11 @@ def audit_federation(router, *, include_pod_audits: bool = True) -> FederationAu
                 )
         if include_pod_audits and not pod.failed:
             report.pod_audits[pod.name] = pod.porter.audit_leaks()
-    if CHECK.enabled:
+    if CHECK.active():
         CHECK.stats.invariant_runs += 1
         if not report.clean:
             CHECK.stats.violations += len(report.violations)
-            CHECK.fail(
-                "federation audit: " + "; ".join(report.violations[:5])
-            )
+            fail("federation audit: " + "; ".join(report.violations[:5]))
     return report
 
 

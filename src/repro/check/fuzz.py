@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.check import CHECK, CheckFailure
+from repro.check import CHECK, CheckFailure, summary_line
 from repro.check.invariants import check_pod
 from repro.check.oracle import DifferentialOracle, diff_views, resolve_view
 from repro.exceptions import PoisonError
@@ -493,7 +493,7 @@ def main(argv=None) -> int:
             f"{len(mechanisms)} mechanism(s) = {result.steps} step(s), "
             f"{result.oracle_runs} oracle run(s)"
         )
-    print(CHECK.summary())
+    print(summary_line())
     print(f"total fuzzer steps: {total_steps}")
     CHECK.disable()
     return status

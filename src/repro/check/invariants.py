@@ -195,7 +195,7 @@ def check_task(task, report: Optional[InvariantReport] = None) -> InvariantRepor
                 "leaf-residency", who,
                 f"cxl_resident PTE leaf {leaf_index} maps node-local memory",
             )
-    if standalone and CHECK.enabled:
+    if standalone and CHECK.active():
         CHECK.stats.invariant_runs += 1
         if not report.clean:
             CHECK.stats.violations += len(report.violations)
@@ -331,7 +331,7 @@ def check_pod(
         if not pod_audit.clean:
             report.add("frame-audit", "pod", pod_audit.describe())
 
-    if CHECK.enabled:
+    if CHECK.active():
         CHECK.stats.invariant_runs += 1
         if not report.clean:
             CHECK.stats.violations += len(report.violations)

@@ -548,11 +548,11 @@ class DifferentialOracle:
         return report
 
     def _account(self, report: DivergenceReport, raise_on_divergence: bool) -> None:
-        if CHECK.enabled:
+        if CHECK.active():
             CHECK.stats.oracle_runs += 1
         if report.clean:
             return
-        if CHECK.enabled:
+        if CHECK.active():
             CHECK.stats.divergences += report.diverging_pages + len(report.structural)
             CHECK.stats.failures.append(report.describe())
         if raise_on_divergence:

@@ -36,7 +36,6 @@ pinned replication digests are unaffected.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -54,7 +53,7 @@ from repro.rfork.cxlfork import (
     CxlForkCheckpoint,
 )
 from repro.rfork.cxlfork import build_restore_plan as _cxlfork_restore_plan
-from repro.rfork.restoreplan import RESTORE_PLAN, plan_for
+from repro.rfork.restoreplan import plan_for
 from repro.serial.blob import CxlHeap
 from repro.serial.codec import Codec
 from repro.serial.rebase import Rebaser
@@ -83,7 +82,8 @@ def wire_image(checkpoint) -> dict:
     bytes regardless of which pod holds it.
     """
     _verify_shippable(checkpoint)
-    return _wire_body(checkpoint)
+    encode_wire, _ = _mechanism(checkpoint)
+    return encode_wire(checkpoint)
 
 
 def _verify_shippable(checkpoint) -> None:
@@ -91,17 +91,18 @@ def _verify_shippable(checkpoint) -> None:
 
     Shipping it would spread the corruption to every peer pod (the CXL
     "viral" semantic, enforced in software at the encode boundary).  Every
-    ship runs this, including one served from an encoded-blob cache.
+    ship runs this, including one served from the checkpoint's restore plan.
     """
     if RAS.active() and isinstance(checkpoint, (CxlForkCheckpoint, CriuCheckpoint)):
         verify_checkpoint(checkpoint, context="replication.wire_image")
 
 
-def _wire_body(checkpoint) -> dict:
+def _mechanism(checkpoint) -> tuple[Callable, Callable]:
+    """A shippable checkpoint's wire encoder and restore-plan builder."""
     if isinstance(checkpoint, CxlForkCheckpoint):
-        return _cxlfork_wire(checkpoint)
+        return _cxlfork_wire, _cxlfork_restore_plan
     if isinstance(checkpoint, CriuCheckpoint):
-        return _criu_wire(checkpoint)
+        return _criu_wire, _criu_restore_plan
     raise ReplicationError(
         f"cannot ship a {type(checkpoint).__name__}: mitosis-style "
         "checkpoints are coupled to a live parent node and have no "
@@ -231,18 +232,16 @@ def materialize(wire: dict, pod, *, codec: Optional[Codec] = None):
     mech = wire.get("mech")
     if mech == "cxlfork":
         ckpt, install_ns = _materialize_cxlfork(wire, pod, codec)
-        builder = _cxlfork_restore_plan
     elif mech == "criu-cxl":
         ckpt, install_ns = _materialize_criu(wire, pod, codec)
-        builder = _criu_restore_plan
     else:
         raise ReplicationError(f"unknown wire mechanism {mech!r}")
-    if RESTORE_PLAN.active():
-        # Seed the restore plan while the landed image is hot: the first
-        # cold start on this pod then restores plan-served.  Codec-keyed
-        # fields (the cxlfork global-state decode) stay lazy — the pod's
-        # restoring mechanism may use a different codec than this ship.
-        plan_for(ckpt, pod.fabric, builder)
+    # Seed the restore plan while the landed image is hot: the first cold
+    # start on this pod then restores plan-served.  Codec-keyed fields
+    # (the cxlfork global-state decode) stay lazy — the pod's restoring
+    # mechanism may use a different codec than this ship.
+    _, build_plan = _mechanism(ckpt)
+    plan_for(ckpt, pod.fabric, build_plan)
     return ckpt, install_ns
 
 
@@ -489,73 +488,30 @@ class Replicator:
         self.stats = ReplicationStats()
         self.delta = DeltaStats()
         self._inflight: dict[tuple, _InFlight] = {}
-        # Encoded-blob cache: the wire image is canonical content (see the
-        # module docstring), so pushing one checkpoint to N pods can encode
-        # once and reuse the bytes.  Dedup-sealed images are keyed by their
-        # content hash (mechanism + comm + chunk codes), so a re-seal of
-        # identical state — a different object — still hits; images without
-        # codes fall back to object identity with a strong reference held.
-        self._blob_cache: dict[tuple, tuple[object, bytes]] = {}
-        # Decoded-wire cache, same keying.  Sharing one decoded dict across
-        # ships is safe because materialize() only *reads* the wire form:
-        # every landed structure is freshly built (``from_wire``,
-        # ``np.asarray`` of a list) and the only by-reference installs are
-        # immutable blobs (the cxlfork global-state bytes).
-        self._wire_cache: dict[tuple, tuple[object, dict]] = {}
-        self._wire_cache_hits = 0
 
-    _BLOB_CACHE_MAX = 8
+    def _encoded(self, checkpoint, fabric) -> tuple[bytes, dict]:
+        """The checkpoint's encoded wire blob and its decoded wire dict.
 
-    @staticmethod
-    def _cache_key(checkpoint) -> tuple:
-        key = getattr(checkpoint, "_content_key", None)
-        if key is not None:
-            return key
-        codes = None
-        chunk_codes = getattr(checkpoint, "chunk_codes", None)
-        if chunk_codes is not None:
-            codes = b"".join(
-                chunk_codes[i].tobytes() for i in sorted(chunk_codes)
-            )
-        else:
-            page_codes = getattr(checkpoint, "page_codes", None)
-            if page_codes is not None and page_codes.size:
-                codes = page_codes.tobytes()
-        if codes is None:
-            return ("id", id(checkpoint))
-        digest = hashlib.sha256()
-        digest.update(f"{type(checkpoint).__name__}:{checkpoint.comm}:".encode())
-        digest.update(codes)
-        key = ("content", digest.hexdigest())
-        checkpoint._content_key = key
-        return key
-
-    def _encoded_blob(self, checkpoint) -> bytes:
-        # Verify before the cache lookup: a checkpoint poisoned after an
+        Both are pure functions of the sealed image, so they live on its
+        restore plan (built against ``fabric``, the pod holding the image)
+        and follow the plan's epoch invalidation and off switch: pushing
+        one checkpoint to N pods encodes once.  Sharing one decoded dict
+        across ships is safe because :func:`materialize` only *reads* the
+        wire form.
+        """
+        # Verify before the plan lookup: a checkpoint poisoned after an
         # earlier ship must not go out again from the cached bytes.
         _verify_shippable(checkpoint)
-        key = self._cache_key(checkpoint)
-        cached = self._blob_cache.get(key)
-        if cached is not None and (key[0] == "content" or cached[0] is checkpoint):
+        encode_wire, build_plan = _mechanism(checkpoint)
+        plan = plan_for(checkpoint, fabric, build_plan)
+        if plan is not None and plan.shipping is not None:
             self.stats.encode_cache_hits += 1
-            return cached[1]
-        blob = self.codec.encode(_wire_body(checkpoint))
-        if len(self._blob_cache) >= self._BLOB_CACHE_MAX:
-            self._blob_cache.pop(next(iter(self._blob_cache)))
-        self._blob_cache[key] = (checkpoint, blob)
-        return blob
-
-    def _decoded_wire(self, checkpoint, blob: bytes) -> dict:
-        key = self._cache_key(checkpoint)
-        cached = self._wire_cache.get(key)
-        if cached is not None and (key[0] == "content" or cached[0] is checkpoint):
-            self._wire_cache_hits += 1
-            return cached[1]
-        wire = self.codec.decode(blob)
-        if len(self._wire_cache) >= self._BLOB_CACHE_MAX:
-            self._wire_cache.pop(next(iter(self._wire_cache)))
-        self._wire_cache[key] = (checkpoint, wire)
-        return wire
+            return plan.shipping
+        blob = self.codec.encode(encode_wire(checkpoint))
+        shipping = (blob, self.codec.decode(blob))
+        if plan is not None:
+            plan.shipping = shipping
+        return shipping
 
     def ship(
         self,
@@ -587,8 +543,7 @@ class Replicator:
             )
         # Encode now: once the bytes are on the wire, a source-pod crash
         # cannot lose the transfer (mitosis-style ship, not remote paging).
-        blob = self._encoded_blob(entry.checkpoint)
-        wire = self._decoded_wire(entry.checkpoint, blob)
+        blob, wire = self._encoded(entry.checkpoint, src.fabric)
         nbytes = shipped_bytes(entry.checkpoint, blob)
         codes = wire_chunk_codes(wire)
         if codes.size:

@@ -30,6 +30,7 @@ the rows), and the CLI exits nonzero on any leak, so CI can gate on it::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,23 +77,14 @@ def _setup(mech_name: str, function: str):
     return pod, mech, parent_a, ckpt_a
 
 
-#: Per-process memo for :func:`_operation_duration_ns`.  The duration is a
-#: pure, deterministic function of its key, so memoizing keeps the serial
-#: path at one dry run per (mechanism, stage) while letting each parallel
-#: worker derive it independently — no cross-process coordination needed.
-_DURATION_CACHE: dict = {}
-
-
-def _operation_duration_ns_cached(mech_name: str, stage: str, function: str) -> int:
-    key = (mech_name, stage, function)
-    if key not in _DURATION_CACHE:
-        _DURATION_CACHE[key] = _operation_duration_ns(mech_name, stage, function)
-    return _DURATION_CACHE[key]
-
-
+@functools.lru_cache(maxsize=None)
 def _operation_duration_ns(mech_name: str, stage: str, function: str) -> int:
     """Virtual duration of the operation the sweep will crash (dry run on
-    an identical pod — the simulator is deterministic, so this is exact)."""
+    an identical pod — the simulator is deterministic, so this is exact).
+
+    Memoized per process: the serial path pays one dry run per (mechanism,
+    stage) and each parallel worker derives its own, with no cross-process
+    coordination."""
     pod, mech, parent_a, ckpt_a = _setup(mech_name, function)
     if stage == "checkpoint":
         parent_b = prepare_parent(pod, function, node=pod.source)
@@ -173,13 +165,11 @@ def _run_cell(
     else:
         raise ValueError(f"unknown stage {stage!r}")
 
-    crash_instant = victim.clock.now
     survived, recovery_ms, detail = _recover(
         pod, mech, parent_a, ckpt_a, survivor
     )
     # Detection latency is not modeled here (the porter's heartbeat
     # detector owns that); recovery_ms is pure restore + first invocation.
-    del crash_instant
     audit = audit_pod(
         pod.fabric, pod.nodes, cxlfs=pod.cxlfs, checkpoints=checkpoints
     )
@@ -234,7 +224,7 @@ def run_point(point: SweepPoint) -> SweepRow:
     mech_name = point.param("mechanism")
     stage = point.param("stage")
     function = point.param("function")
-    duration_ns = _operation_duration_ns_cached(mech_name, stage, function)
+    duration_ns = _operation_duration_ns(mech_name, stage, function)
     return _run_cell(
         mech_name,
         stage,

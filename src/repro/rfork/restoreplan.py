@@ -25,7 +25,11 @@ is a pure function of the sealed image:
   leaves are stable post-seal: checkpoint PTEs never carry WRITE, so no
   child write can ever set DIRTY on a shared leaf);
 * the decoded global-state blob and its decode cost (keyed by codec
-  identity, so differently-configured codecs never share a decode).
+  identity, so differently-configured codecs never share a decode);
+* the shipping form :class:`repro.cluster.replication.Replicator` sends
+  to peer pods: the encoded wire blob and its decoded wire dict, filled
+  on the first ship (no codec key: ``Codec.encode``/``decode`` bytes do
+  not depend on the codec's cost model).
 
 What is deliberately **not** cached: the ACCESSED-hot page sets.  Children
 set the A bit on shared checkpoint leaves as they run (the §4.3 harvesting
@@ -62,71 +66,24 @@ forces it off process-wide, workers included).
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.check import mutation as _mutation
 from repro.ras import RAS
 from repro.ras.checksum import verify_frames
+from repro.sim.switch import Switch
 
 
-class RestorePlanRuntime:
-    """Process-wide switch for the restore-plan cache (default **on**).
-
-    Mirrors :class:`repro.ras.RasRuntime` / :class:`repro.dedup
-    .DedupRuntime`: a module-level singleton with an override stack for
-    differential tests.  Unlike those, the cache is purely a host-side
-    optimization, so it defaults on and is forced off only to prove the
-    bit-identical contract (CI runs the quick digests both ways).
-    """
-
-    def __init__(self) -> None:
-        self.enabled = os.environ.get("REPRO_RESTORE_PLAN", "1") != "0"
-        self._forced: Optional[bool] = None
-        self.builds = 0
-        self.hits = 0
-        self.invalidations = 0
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def active(self) -> bool:
-        if self._forced is not None:
-            return self._forced
-        return self.enabled
-
-    @contextmanager
-    def force(self, value: bool) -> Iterator[None]:
-        """Temporarily pin the runtime on/off (differential testing)."""
-        saved = self._forced
-        self._forced = value
-        try:
-            yield
-        finally:
-            self._forced = saved
-
-    def reset(self) -> None:
-        self.enabled = os.environ.get("REPRO_RESTORE_PLAN", "1") != "0"
-        self._forced = None
-        self.builds = 0
-        self.hits = 0
-        self.invalidations = 0
-
-    def summary(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "builds": self.builds,
-            "hits": self.hits,
-            "invalidations": self.invalidations,
-        }
-
-
-#: The singleton every mechanism consults.
-RESTORE_PLAN = RestorePlanRuntime()
+#: The process-wide restore-plan switch every mechanism consults.  On by
+#: default: the cache is purely a host-side optimization, forced off only
+#: to prove the bit-identical contract (CI runs the quick digests both
+#: ways).  ``REPRO_RESTORE_PLAN=0`` turns it off in every process.
+RESTORE_PLAN = Switch(
+    "restore-plan",
+    default=True,
+    env="REPRO_RESTORE_PLAN",
+    counters=dict.fromkeys(("builds", "hits", "invalidations"), int),
+)
 
 
 class RestorePlan:
@@ -166,6 +123,8 @@ class RestorePlan:
         "ns_record",
         "prefetch_specs",
         "prefetch_effectiveness",
+        # lazily-filled shipping form: (encoded blob, decoded wire dict)
+        "shipping",
     )
 
     def __init__(self) -> None:
@@ -201,7 +160,7 @@ def plan_for(
 ) -> Optional[RestorePlan]:
     """Return a valid plan for ``checkpoint``, building one if needed.
 
-    Returns ``None`` when the runtime is off — callers fall back to the
+    Returns ``None`` when the switch is off — callers fall back to the
     planless path, which computes exactly what a plan would have served.
     A memoized plan whose captured epochs no longer match the live ones
     is discarded and rebuilt (never served), except under the seeded
@@ -229,7 +188,7 @@ def plan_for(
 
 
 def drop_plan(checkpoint: Any) -> None:
-    """Release a deleted checkpoint's plan (frees its numpy arrays)."""
+    """Release a deleted checkpoint's plan (frees its arrays and wire bytes)."""
     if getattr(checkpoint, "_restore_plan", None) is not None:
         checkpoint._restore_plan = None
 
@@ -258,7 +217,6 @@ def verify_planned(pool: Any, plan: RestorePlan, *, context: str) -> None:
 __all__ = [
     "RESTORE_PLAN",
     "RestorePlan",
-    "RestorePlanRuntime",
     "cached_plan",
     "checkpoint_plan_epoch",
     "drop_plan",

@@ -58,7 +58,7 @@ def checkpointed(parent):
 
 @pytest.fixture
 def check_enabled():
-    """Enable the repro.check runtime for one test, reset afterwards."""
+    """Enable the repro.check switch for one test, reset afterwards."""
     from repro.check import CHECK
 
     CHECK.reset()

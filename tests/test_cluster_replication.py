@@ -6,7 +6,8 @@ from repro.cluster import build_federation
 from repro.cluster.replication import ReplicationError, encode_image
 from repro.exceptions import PoisonError
 from repro.ras import RAS
-from repro.ras.checksum import checkpoint_frames
+from repro.ras.checksum import checkpoint_frames, invalidate_restore_plan
+from repro.rfork.restoreplan import RESTORE_PLAN
 from repro.porter.autoscaler import PorterConfig
 
 
@@ -119,15 +120,15 @@ class TestShipPolicies:
 
         src.porter.prewarm_and_checkpoint("float")
         second = src.store.peek("tenant0", "float").checkpoint
-        blob = router.replicator._encoded_blob(second)
+        blob, _ = router.replicator._encoded(second, src.fabric)
         if second is not first:
             assert router.replicator.stats.encode_cache_hits == 0
         assert blob == encode_image(second)
 
     def test_poisoned_after_ship_refused_despite_blob_cache(self):
         """A checkpoint shipped once and poisoned afterwards must not ship
-        again: the RAS check runs before the encoded-blob cache lookup, so
-        a cache hit cannot bypass it."""
+        again: the RAS check runs before the restore-plan lookup, so a
+        cached encoded blob cannot bypass it."""
         router, pods = federation(pod_count=3)
         pods[0].porter.prewarm_and_checkpoint("float")
         ckpt = pods[0].store.peek("tenant0", "float").checkpoint
@@ -141,6 +142,46 @@ class TestShipPolicies:
         stats = router.replicator.stats
         assert stats.ships == 1 and stats.encode_cache_hits == 0
         assert pods[2].store.peek("tenant0", "float") is None
+
+    def test_plan_off_ship_encodes_every_time(self):
+        """With the restore-plan cache off, every ship encodes afresh and
+        lands the same bytes, over the same wire volume, as plan-on."""
+
+        def push_twice():
+            router, pods = federation(pod_count=3)
+            pods[0].porter.prewarm_and_checkpoint("float")
+            router.replicator.ship("float", pods[0], pods[1])
+            router.replicator.ship("float", pods[0], pods[2])
+            drain(router.queue)
+            replicas = [
+                encode_image(dst.store.peek("tenant0", "float").checkpoint)
+                for dst in pods[1:]
+            ]
+            return router.replicator.stats, replicas
+
+        with RESTORE_PLAN.force(False):
+            off_stats, off_replicas = push_twice()
+        on_stats, on_replicas = push_twice()
+        assert off_stats.ships == 2 and off_stats.encode_cache_hits == 0
+        assert on_stats.encode_cache_hits == 1
+        assert off_stats.bytes_shipped == on_stats.bytes_shipped
+        assert off_replicas == on_replicas
+
+    def test_invalidated_plan_reencodes(self):
+        """The shipping form follows the restore plan's epochs: after the
+        image is invalidated in place, the next ship encodes afresh."""
+        router, pods = federation(pod_count=3)
+        pods[0].porter.prewarm_and_checkpoint("float")
+        ckpt = pods[0].store.peek("tenant0", "float").checkpoint
+        router.replicator.ship("float", pods[0], pods[1])
+        drain(router.queue)
+        invalidate_restore_plan(ckpt)
+        router.replicator.ship("float", pods[0], pods[2])
+        drain(router.queue)
+        stats = router.replicator.stats
+        assert stats.ships == 2 and stats.encode_cache_hits == 0
+        landed = pods[2].store.peek("tenant0", "float").checkpoint
+        assert encode_image(landed) == encode_image(ckpt)
 
     def test_destination_death_in_flight_loses_replica(self):
         router, (src, dst) = federation()
