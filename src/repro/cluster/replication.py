@@ -53,7 +53,7 @@ from repro.rfork.cxlfork import (
     CxlForkCheckpoint,
 )
 from repro.rfork.cxlfork import build_restore_plan as _cxlfork_restore_plan
-from repro.rfork.restoreplan import plan_for
+from repro.rfork.restoreplan import RESTORE_PLAN, plan_for
 from repro.serial.blob import CxlHeap
 from repro.serial.codec import Codec
 from repro.serial.rebase import Rebaser
@@ -239,9 +239,11 @@ def materialize(wire: dict, pod, *, codec: Optional[Codec] = None):
     # Seed the restore plan while the landed image is hot: the first cold
     # start on this pod then restores plan-served.  Codec-keyed fields
     # (the cxlfork global-state decode) stay lazy — the pod's restoring
-    # mechanism may use a different codec than this ship.
-    _, build_plan = _mechanism(ckpt)
-    plan_for(ckpt, pod.fabric, build_plan)
+    # mechanism may use a different codec than this ship.  With the cache
+    # off a plan is never kept, so there is nothing to seed.
+    if RESTORE_PLAN.active():
+        _, build_plan = _mechanism(ckpt)
+        plan_for(ckpt, pod.fabric, build_plan)
     return ckpt, install_ns
 
 
@@ -504,14 +506,12 @@ class Replicator:
         _verify_shippable(checkpoint)
         encode_wire, build_plan = _mechanism(checkpoint)
         plan = plan_for(checkpoint, fabric, build_plan)
-        if plan is not None and plan.shipping is not None:
+        if plan.shipping is not None:
             self.stats.encode_cache_hits += 1
             return plan.shipping
         blob = self.codec.encode(encode_wire(checkpoint))
-        shipping = (blob, self.codec.decode(blob))
-        if plan is not None:
-            plan.shipping = shipping
-        return shipping
+        plan.shipping = (blob, self.codec.decode(blob))
+        return plan.shipping
 
     def ship(
         self,

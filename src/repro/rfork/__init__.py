@@ -8,11 +8,13 @@
   serialized OS state, lazy per-page remote copies (§2.3.2, §6.2).
 * :class:`LocalFork` / :class:`ColdStart` — the reference baselines.
 
-All mechanisms restore through the memoized restore-plan cache
-(:mod:`repro.rfork.restoreplan`, runtime-flagged via ``RESTORE_PLAN``):
-repeated cold starts of one checkpoint pay O(delta) host work instead of
-re-scanning the image, with epoch-keyed invalidation on poison/repair,
-dedup repoint, and re-seal.
+The three remote forks share one checkpoint/restore skeleton
+(:class:`RemoteForkMechanism`), and every restore reads a
+:class:`RestorePlan` (:mod:`repro.rfork.restoreplan`).  Plans are memoized
+per checkpoint unless ``RESTORE_PLAN`` is off, so repeated cold starts of
+one checkpoint pay O(delta) host work instead of re-scanning the image,
+with epoch-keyed invalidation on poison/repair, dedup repoint, and
+re-seal.
 """
 
 from repro.rfork.base import (

@@ -15,7 +15,7 @@ is why CRIU's child consumes ~cold-start memory (Fig. 7b).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,26 +25,15 @@ from repro.os.fs.cxlfs import CxlFileSystem
 from repro.os.mm.pagetable import PTES_PER_LEAF
 from repro.os.mm.pte import PteFlags
 from repro.os.mm.vma import VmaKind
-from repro.os.node import ComputeNode
-from repro.os.proc.namespaces import NamespaceSet
-from repro.os.proc.task import Task, TaskState
-from repro.ras import RAS, seal_checkpoint, verify_checkpoint
+from repro.os.proc.task import Task
+from repro.ras import RAS, seal_checkpoint
 from repro.ras.checksum import checkpoint_frames
-from repro.rfork.restoreplan import (
-    RestorePlan,
-    drop_plan,
-    plan_for,
-    verify_planned,
-)
+from repro.rfork.restoreplan import RestorePlan, drop_plan
 from repro.rfork.base import (
-    FD_REOPEN_NS,
-    MMAP_SYSCALL_NS,
-    NS_RESTORE_NS,
-    PROC_CREATE_NS,
     CheckpointMetrics,
     RemoteForkMechanism,
-    RestoreMetrics,
     RestoreResult,
+    rebuild_from_records,
 )
 from repro.serial.codec import Codec
 from repro.serial.records import (
@@ -57,7 +46,6 @@ from repro.serial.records import (
 )
 from repro.sim.npx import count_in_range, ensure_sorted, mask_in_range
 from repro.sim.units import PAGE_SIZE
-from repro.telemetry import TRACE
 
 #: Installing one restored page's PTE (beyond the data copy itself).
 PTE_INSTALL_NS = 120.0
@@ -135,23 +123,24 @@ class CriuCheckpoint:
 
 
 def build_restore_plan(checkpoint: CriuCheckpoint) -> RestorePlan:
-    """Memoize the image-derived restore inputs.
+    """The image-derived restore inputs.
 
     The rebuilt :class:`~repro.os.mm.vma.Vma` list is safe to share across
-    restored tasks (``Vma`` is a frozen dataclass), and the pagemap-install
-    decisions replicate the restore loop's skip rule — a run dumped only
-    because its VMA is not clean-file-backed — which depends only on the
-    checkpoint's own records.  Per-restore side effects (``rootfs.ensure``,
-    frame allocation, ``map_range``) stay live.
+    restored tasks (``Vma`` is a frozen dataclass).  The pagemap-install
+    decisions apply the dump's skip rule to the checkpoint's own records:
+    a run is installed unless it is a clean run in a private file mapping
+    (``tests/test_restoreplan.py`` checks this against the rule applied to
+    a restored task's live VMA tree).  Per-restore side effects
+    (``rootfs.ensure``, frame allocation, ``map_range``) stay live.
     """
     plan = RestorePlan()
     plan.frames = checkpoint_frames(checkpoint)
     plan.n_meta_records = 4 + len(checkpoint.vma_records) + len(checkpoint.pagemaps)
     vmas = [r.rebuild(file_registered=True) for r in checkpoint.vma_records]
     plan.vma_specs = vmas
-    # Replicate VmaTree.find over the record set: a pagemap run is skipped
-    # iff it is neither dirty nor hardware-writable and lands in a private
-    # file mapping (those pages were never dumped).
+    # VmaTree.find over the record set: a pagemap run is skipped iff it is
+    # neither dirty nor hardware-writable and lands in a private file
+    # mapping (those pages were never dumped).
     by_start = sorted(vmas, key=lambda v: v.start_vpn)
     starts = [v.start_vpn for v in by_start]
     skip_flags = int(PteFlags.DIRTY) | int(PteFlags.WRITE)
@@ -178,6 +167,7 @@ class CriuCxl(RemoteForkMechanism):
     """Checkpoint/Restore in Userspace, ported onto CXL shared memory."""
 
     name = "criu-cxl"
+    trace_name = "criu"
     #: CRIU restores from a file system, which ghost containers do not
     #: provide a mount of (§6.2: "CRIU-CXL is not compatible with ghost
     #: containers").
@@ -191,14 +181,9 @@ class CriuCxl(RemoteForkMechanism):
 
     # -- checkpoint -----------------------------------------------------------
 
-    def checkpoint(self, task: Task) -> tuple[CriuCheckpoint, CheckpointMetrics]:
+    def _capture(self, task: Task, metrics: CheckpointMetrics) -> tuple[CriuCheckpoint, int]:
         node = task.node
         latency = node.fabric.latency
-        metrics = CheckpointMetrics()
-        span = TRACE.span("criu.checkpoint", clock=node.clock, comm=task.comm)
-        if span.recording:
-            metrics.span = span
-        task.freeze()
         ckpt: Optional[CriuCheckpoint] = None
         try:
             CriuCxl._image_counter += 1
@@ -301,17 +286,10 @@ class CriuCxl(RemoteForkMechanism):
             if RAS.active():
                 seal_checkpoint(ckpt, context="criu.seal")
         except BaseException:
-            span.finish()  # failed checkpoints must not leave the span open
             if ckpt is not None:
                 ckpt.delete()  # unlink whatever image files were written
             raise
-        finally:
-            task.thaw()
-        span.set(pages=ckpt.dumped_pages, cxl_bytes=ckpt.cxl_bytes)
-        span.finish()
-        node.log.emit(node.clock.now, "criu_checkpoint", comm=task.comm,
-                      pages=ckpt.dumped_pages)
-        return ckpt, metrics
+        return ckpt, ckpt.dumped_pages
 
     @staticmethod
     def _file_clean_pages(task: Task) -> np.ndarray:
@@ -343,50 +321,14 @@ class CriuCxl(RemoteForkMechanism):
 
     # -- restore --------------------------------------------------------------
 
-    def restore(
-        self,
-        checkpoint: CriuCheckpoint,
-        node: ComputeNode,
-        *,
-        container: Optional[Any] = None,
-        policy: Optional[Any] = None,
-    ) -> RestoreResult:
+    build_restore_plan = staticmethod(build_restore_plan)
+
+    def _restore_policy(self, checkpoint, policy):
         if policy is not None:
             raise ValueError("CRIU-CXL has no tiering policies; state is fully copied")
-        plan = plan_for(checkpoint, node.fabric, build_restore_plan)
-        if RAS.active():
-            # Fail before spawning anything: a corrupt image never serves.
-            if plan is not None:
-                verify_planned(
-                    node.fabric.device.frames, plan, context="criu.restore"
-                )
-            else:
-                verify_checkpoint(checkpoint, context="criu.restore")
-        kernel = node.kernel
-        metrics = RestoreMetrics()
-        span = TRACE.span(
-            "criu.restore", clock=node.clock, comm=checkpoint.comm, node=node.name
-        )
-        if span.recording:
-            metrics.span = span
+        return None
 
-        metrics.note("process_create", PROC_CREATE_NS)
-        task = kernel.spawn_task(checkpoint.comm, container=container)
-        try:
-            result = self._restore_into(task, checkpoint, node, metrics, plan)
-            span.finish()
-            return result
-        except BaseException:
-            span.finish()
-            # Failed restores must not leak frames; a mid-restore node
-            # crash already tore the task down via node.fail().
-            if task.state is not TaskState.DEAD:
-                kernel.exit_task(task)
-            raise
-
-    def _restore_into(
-        self, task, checkpoint, node, metrics, plan=None
-    ) -> RestoreResult:
+    def _restore_into(self, task, checkpoint, node, policy, metrics, plan) -> RestoreResult:
         kernel = node.kernel
         latency = node.fabric.latency
 
@@ -397,47 +339,14 @@ class CriuCxl(RemoteForkMechanism):
             "read_files",
             latency.copy_ns(meta_bytes + data_bytes, src_cxl=True, dst_cxl=False),
         )
-        if plan is not None:
-            n_meta_records = plan.n_meta_records
-        else:
-            n_meta_records = (
-                4 + len(checkpoint.vma_records) + len(checkpoint.pagemaps)
-            )
         metrics.note(
             "deserialize_metadata",
-            self.codec.costs.decode_ns(meta_bytes, n_meta_records),
+            self.codec.costs.decode_ns(meta_bytes, plan.n_meta_records),
         )
         metrics.note(
             "deserialize_pages", PAGE_RESTORE_NS * checkpoint.dumped_pages
         )
-
-        record = checkpoint.task_record
-        task.regs = record.regs.restore_into()
-        for fd_record in record.fds:
-            entry = fd_record.reopen()
-            inode = node.rootfs.ensure(entry.path)
-            from dataclasses import replace as dc_replace
-
-            task.fdtable.install(dc_replace(entry, inode=inode.ino))
-        metrics.note("fd_reopen", FD_REOPEN_NS * len(record.fds))
-        task.namespaces = NamespaceSet.restore_into(
-            {"pid": record.namespaces.pid_ns, "mnt": record.namespaces.mnt_ns},
-            task.namespaces,
-        )
-        metrics.note("ns_restore", NS_RESTORE_NS)
-
-        # Recreate every VMA with mmap calls.  The rebuilt Vma objects are
-        # immutable, so the plan shares one list across all restores.
-        if plan is not None:
-            vmas = plan.vma_specs
-        else:
-            vmas = [r.rebuild(file_registered=True) for r in checkpoint.vma_records]
-        for vma in vmas:
-            if vma.is_file_backed():
-                node.rootfs.ensure(vma.path, size_bytes=vma.npages * PAGE_SIZE)
-            task.mm.vmas.insert(vma)
-            task.mm.note_range_used(vma.start_vpn, vma.npages)
-        metrics.note("vma_rebuild", MMAP_SYSCALL_NS * len(checkpoint.vma_records))
+        rebuild_from_records(task, checkpoint, node, metrics, plan)
 
         # Copy every dumped page into fresh local memory.
         flags = (
@@ -447,31 +356,15 @@ class CriuCxl(RemoteForkMechanism):
             | PteFlags.ACCESSED
             | PteFlags.DIRTY
         )
-        if plan is not None:
-            install_specs = plan.install_specs
-            total_installed = plan.total_installed
-        else:
-            install_specs = []
-            total_installed = 0
-            for pagemap in checkpoint.pagemaps:
-                # Skip runs that were not dumped (clean file pages: neither
-                # dirty nor a hardware-writable private copy — mirrors
-                # ``_file_clean_pages``).
-                if not pagemap.flags & (int(PteFlags.DIRTY) | int(PteFlags.WRITE)):
-                    vma = task.mm.vmas.find(pagemap.start_vpn)
-                    if vma is not None and vma.kind is VmaKind.FILE_PRIVATE:
-                        continue
-                install_specs.append((pagemap.start_vpn, pagemap.npages))
-                total_installed += pagemap.npages
-        for start_vpn, npages in install_specs:
+        for start_vpn, npages in plan.install_specs:
             frames = kernel.alloc_local_frames(task.mm, npages)
             task.mm.pagetable.map_range(start_vpn, frames, int(flags))
-        metrics.copied_pages = total_installed
-        metrics.note("install_pages", PTE_INSTALL_NS * total_installed)
+        metrics.copied_pages = plan.total_installed
+        metrics.note("install_pages", PTE_INSTALL_NS * plan.total_installed)
 
         node.clock.advance(metrics.latency_ns)
         node.log.emit(node.clock.now, "criu_restore", comm=checkpoint.comm,
-                      node=node.name, pages=total_installed)
+                      node=node.name, pages=plan.total_installed)
         return RestoreResult(task=task, metrics=metrics)
 
 

@@ -18,7 +18,7 @@ pod, until a store CoWs it local.
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,25 +29,15 @@ from repro.os.kernel import CheckpointBacking
 from repro.os.mm.pagetable import PTES_PER_LEAF, PageTable, PteLeaf
 from repro.os.mm.pte import PTE_FRAME_SHIFT, PteFlags
 from repro.os.mm.vma import VmaLeaf
-from repro.os.node import ComputeNode
-from repro.os.proc.namespaces import NamespaceSet
-from repro.os.proc.task import Task, TaskState
-from repro.ras import RAS, seal_checkpoint, verify_checkpoint
+from repro.os.proc.task import Task
+from repro.ras import RAS, seal_checkpoint
 from repro.ras.checksum import checkpoint_frames
-from repro.rfork.restoreplan import (
-    RestorePlan,
-    drop_plan,
-    plan_for,
-    verify_planned,
-)
+from repro.rfork.restoreplan import RestorePlan, drop_plan
 from repro.rfork.base import (
-    FD_REOPEN_NS,
-    NS_RESTORE_NS,
-    PROC_CREATE_NS,
     CheckpointMetrics,
     RemoteForkMechanism,
-    RestoreMetrics,
     RestoreResult,
+    reopen_global_state,
 )
 from repro.serial.blob import CxlHeap
 from repro.serial.codec import Codec
@@ -197,10 +187,9 @@ class CxlForkCheckpoint:
 def build_restore_plan(checkpoint: CxlForkCheckpoint) -> RestorePlan:
     """Memoize the restore inputs that are pure functions of the image.
 
-    Everything here is exactly what a planless ``_restore_into`` computes
-    per restore: the heap derefs, the verify frame set, the upper-table
-    count.  Codec- and prefetcher-dependent fields fill lazily on first
-    use (see :mod:`repro.rfork.restoreplan`).
+    The heap derefs, the verify frame set, the upper-table count and the
+    naive-restore install total.  Codec- and prefetcher-dependent fields
+    fill lazily on first use (see :mod:`repro.rfork.restoreplan`).
     """
     plan = RestorePlan()
     plan.frames = checkpoint_frames(checkpoint)
@@ -210,11 +199,6 @@ def build_restore_plan(checkpoint: CxlForkCheckpoint) -> RestorePlan:
         for leaf_index, offset in checkpoint.leaf_offsets.items()
     ]
     plan.pt_attach = attach
-    plan.leaf_indices = np.asarray([i for i, _ in attach], dtype=np.int64)
-    plan.leaf_cxl_resident = np.asarray(
-        [leaf.cxl_resident for _, leaf in attach], dtype=bool
-    )
-    plan.backing_frames = checkpoint.data_frames
     plan.upper_tables = PageTable.upper_tables_for(checkpoint.leaf_offsets)
     plan.naive_installed = sum(leaf.present_count() for _, leaf in attach)
     plan.vma_leaves = [heap.deref(offset) for offset in checkpoint.vma_leaf_offsets]
@@ -226,6 +210,7 @@ class CxlFork(RemoteForkMechanism):
     """The paper's remote fork interface."""
 
     name = "cxlfork"
+    trace_name = "cxlfork"
     supports_ghost_containers = True
 
     def __init__(
@@ -250,15 +235,10 @@ class CxlFork(RemoteForkMechanism):
 
     # -- checkpoint --------------------------------------------------------------
 
-    def checkpoint(self, task: Task) -> tuple[CxlForkCheckpoint, CheckpointMetrics]:
+    def _capture(self, task: Task, metrics: CheckpointMetrics) -> tuple[CxlForkCheckpoint, int]:
         node = task.node
         fabric = node.fabric
         latency = fabric.latency
-        metrics = CheckpointMetrics()
-        span = TRACE.span("cxlfork.checkpoint", clock=node.clock, comm=task.comm)
-        if span.recording:
-            metrics.span = span
-        task.freeze()
         ckpt: Optional[CxlForkCheckpoint] = None
         frame_chunks: list[np.ndarray] = []
         interner: Optional[ChunkInterner] = None
@@ -422,7 +402,6 @@ class CxlFork(RemoteForkMechanism):
                 # checksum verification must catch it (repro.check.mutation).
                 fabric.device.frames.poison(ckpt.data_frames[:1])
         except BaseException:
-            span.finish()  # failed checkpoints must not leave the span open
             # Crash consistency: an aborted checkpoint must leak nothing.
             # The frame chunk list (not ckpt.data_frames, which is only set
             # once all chunks are collected) covers partial allocations.
@@ -438,67 +417,18 @@ class CxlFork(RemoteForkMechanism):
                 ckpt._deleted = True
                 ckpt.heap.release()
             raise
-        finally:
-            task.thaw()
-        span.set(pages=ckpt.present_pages, cxl_bytes=ckpt.cxl_bytes)
-        span.finish()
-        node.log.emit(node.clock.now, "cxlfork_checkpoint", comm=task.comm,
-                      pages=ckpt.present_pages)
-        return ckpt, metrics
+        return ckpt, ckpt.present_pages
 
     # -- restore ------------------------------------------------------------------
 
-    def restore(
-        self,
-        checkpoint: CxlForkCheckpoint,
-        node: ComputeNode,
-        *,
-        container: Optional[Any] = None,
-        policy: Optional[Any] = None,
-    ) -> RestoreResult:
+    build_restore_plan = staticmethod(build_restore_plan)
+
+    def _restore_policy(self, checkpoint, policy):
         if not checkpoint.rebased:
             raise RebaseError("cannot restore from a non-rebased checkpoint")
-        plan = plan_for(checkpoint, node.fabric, build_restore_plan)
-        if RAS.active():
-            # Verify before spawning anything: a poisoned image must never
-            # begin serving, and failing here leaves nothing to unwind.
-            if plan is not None:
-                verify_planned(
-                    node.fabric.device.frames, plan, context="cxlfork.restore"
-                )
-            else:
-                verify_checkpoint(checkpoint, context="cxlfork.restore")
-        if policy is None:
-            policy = MigrateOnWrite()
-        kernel = node.kernel
-        metrics = RestoreMetrics()
-        span = TRACE.span(
-            "cxlfork.restore", clock=node.clock,
-            comm=checkpoint.comm, node=node.name, policy=policy.name,
-        )
-        if span.recording:
-            metrics.span = span
+        return MigrateOnWrite() if policy is None else policy
 
-        metrics.note("process_create", PROC_CREATE_NS)
-        task = kernel.spawn_task(checkpoint.comm, container=container)
-        try:
-            result = self._restore_into(
-                task, checkpoint, node, policy, metrics, plan
-            )
-            span.finish()
-            return result
-        except BaseException:
-            # Unwind a partially built clone (e.g. OOM during prefetch) so
-            # failed restores never leak frames.  If the node crashed
-            # mid-restore, node.fail() already tore the task down.
-            span.finish()
-            if task.state is not TaskState.DEAD:
-                kernel.exit_task(task)
-            raise
-
-    def _restore_into(
-        self, task, checkpoint, node, policy, metrics, plan=None
-    ) -> RestoreResult:
+    def _restore_into(self, task, checkpoint, node, policy, metrics, plan) -> RestoreResult:
         kernel = node.kernel
         latency = node.fabric.latency
 
@@ -506,34 +436,16 @@ class CxlFork(RemoteForkMechanism):
         # The decoded state and its (deterministic) decode cost memoize on
         # the plan, keyed by codec identity — a differently-configured
         # codec never serves another codec's decode.
-        if plan is not None:
-            if plan._codec_ref is not self.codec:
-                blob = checkpoint.heap.deref(checkpoint.global_offset)
-                state, decode_ns = self.codec.decode_with_cost(blob, nrecords=8)
-                plan.global_state = state
-                plan.global_decode_ns = decode_ns
-                plan.ns_record = NamespaceRecord.from_wire(state["ns"])
-                plan._codec_ref = self.codec
-            state = plan.global_state
-            decode_ns = plan.global_decode_ns
-            ns_record = plan.ns_record
-        else:
+        if plan._codec_ref is not self.codec:
             blob = checkpoint.heap.deref(checkpoint.global_offset)
             state, decode_ns = self.codec.decode_with_cost(blob, nrecords=8)
-            ns_record = NamespaceRecord.from_wire(state["ns"])
-        metrics.note("global_deserialize", decode_ns)
-        for wire in state["fds"]:
-            record = FdRecord.from_wire(wire)
-            entry = record.reopen()
-            inode = node.rootfs.ensure(entry.path)
-            task.fdtable.install(
-                dc_replace(entry, inode=inode.ino)
-            )
-        metrics.note("fd_reopen", FD_REOPEN_NS * len(state["fds"]))
-        task.namespaces = NamespaceSet.restore_into(
-            {"pid": ns_record.pid_ns, "mnt": ns_record.mnt_ns}, task.namespaces
-        )
-        metrics.note("ns_restore", NS_RESTORE_NS)
+            plan.global_state = state
+            plan.global_decode_ns = decode_ns
+            plan.ns_record = NamespaceRecord.from_wire(state["ns"])
+            plan._codec_ref = self.codec
+        metrics.note("global_deserialize", plan.global_decode_ns)
+        fd_records = [FdRecord.from_wire(wire) for wire in plan.global_state["fds"]]
+        reopen_global_state(task, node, fd_records, plan.ns_record, metrics)
 
         # Hardware context.
         regs: RegsRecord = checkpoint.heap.deref(checkpoint.regs_offset)
@@ -544,19 +456,10 @@ class CxlFork(RemoteForkMechanism):
         )
 
         # Attach the checkpointed VMA tree leaves.
-        if plan is not None:
-            vma_leaves = plan.vma_leaves
-            max_vpn = plan.max_vpn
-        else:
-            vma_leaves = [
-                checkpoint.heap.deref(offset)
-                for offset in checkpoint.vma_leaf_offsets
-            ]
-            max_vpn = checkpoint.max_vpn
-        for leaf in vma_leaves:  # type: VmaLeaf
+        for leaf in plan.vma_leaves:  # type: VmaLeaf
             task.mm.vmas.attach_leaf(leaf)
         if checkpoint.vma_leaves:
-            task.mm.note_range_used(max_vpn, 0)
+            task.mm.note_range_used(plan.max_vpn, 0)
         metrics.note(
             "vma_attach", VMA_LEAF_ATTACH_NS * len(checkpoint.vma_leaf_offsets)
         )
@@ -565,49 +468,28 @@ class CxlFork(RemoteForkMechanism):
         task.mm.ckpt_backing = CheckpointBacking(
             checkpoint=checkpoint, policy=policy, holds_frame_refs=True
         )
-        if plan is not None:
-            pt_attach = plan.pt_attach
-        else:
-            pt_attach = [
-                (leaf_index, checkpoint.heap.deref(offset))
-                for leaf_index, offset in checkpoint.leaf_offsets.items()
-            ]
-        if self.naive_restore and policy.attach_leaves:
-            # Ablation: reconstruct the page tables locally instead of
-            # attaching the checkpointed leaves (§4.2.1's strawman).
-            # The copies themselves stay live (A/D bits on the source
-            # leaves mutate as children run); only the stable present
-            # total memoizes.
-            for leaf_index, leaf in pt_attach:  # type: (int, PteLeaf)
-                task.mm.pagetable.install_leaf(leaf_index, PteLeaf(leaf.ptes.copy()))
-                metrics.note(
-                    "pt_copy", latency.page_copy_ns(src_cxl=True, dst_cxl=False)
-                )
-            if plan is not None:
-                installed = plan.naive_installed
+        if policy.attach_leaves:
+            if self.naive_restore:
+                # Ablation: reconstruct the page tables locally instead of
+                # attaching the checkpointed leaves (§4.2.1's strawman).
+                # The copies themselves stay live (A/D bits on the source
+                # leaves mutate as children run); only the stable present
+                # total memoizes.
+                for leaf_index, leaf in plan.pt_attach:  # type: (int, PteLeaf)
+                    task.mm.pagetable.install_leaf(
+                        leaf_index, PteLeaf(leaf.ptes.copy())
+                    )
+                    metrics.note(
+                        "pt_copy", latency.page_copy_ns(src_cxl=True, dst_cxl=False)
+                    )
+                metrics.note("pt_reinstall", 120.0 * plan.naive_installed)
             else:
-                installed = sum(leaf.present_count() for _, leaf in pt_attach)
-            metrics.note("pt_reinstall", 120.0 * installed)
-            uppers = (
-                plan.upper_tables
-                if plan is not None
-                else task.mm.pagetable.upper_level_tables()
-            )
-            metrics.note("pt_upper_init", UPPER_TABLE_INIT_NS * uppers)
-            if checkpoint.data_frames.size:
-                node.fabric.get_frames(checkpoint.data_frames)
-        elif policy.attach_leaves:
-            for leaf_index, leaf in pt_attach:
-                task.mm.pagetable.attach_leaf(leaf_index, leaf)
-            metrics.note(
-                "pt_attach", PTE_LEAF_ATTACH_NS * len(checkpoint.leaf_offsets)
-            )
-            uppers = (
-                plan.upper_tables
-                if plan is not None
-                else task.mm.pagetable.upper_level_tables()
-            )
-            metrics.note("pt_upper_init", UPPER_TABLE_INIT_NS * uppers)
+                for leaf_index, leaf in plan.pt_attach:
+                    task.mm.pagetable.attach_leaf(leaf_index, leaf)
+                metrics.note(
+                    "pt_attach", PTE_LEAF_ATTACH_NS * len(checkpoint.leaf_offsets)
+                )
+            metrics.note("pt_upper_init", UPPER_TABLE_INIT_NS * plan.upper_tables)
             if checkpoint.data_frames.size:
                 node.fabric.get_frames(checkpoint.data_frames)
         else:
@@ -630,17 +512,12 @@ class CxlFork(RemoteForkMechanism):
         # never carry WRITE), so they memoize on the plan, keyed by the
         # prefetcher's effectiveness; the per-child installs stay live.
         if policy.prefetch_dirty:
-            specs = None
-            if plan is not None:
-                if plan.prefetch_effectiveness != self.prefetcher.effectiveness:
-                    plan.prefetch_specs = self.prefetcher.dirty_specs(
-                        checkpoint.pagetable
-                    )
-                    plan.prefetch_effectiveness = self.prefetcher.effectiveness
-                specs = plan.prefetch_specs
-            result = self.prefetcher.prefetch(
-                kernel, task, checkpoint.pagetable, specs=specs
-            )
+            if plan.prefetch_effectiveness != self.prefetcher.effectiveness:
+                plan.prefetch_specs = self.prefetcher.dirty_specs(
+                    checkpoint.pagetable
+                )
+                plan.prefetch_effectiveness = self.prefetcher.effectiveness
+            result = self.prefetcher.prefetch(kernel, task, plan.prefetch_specs)
             metrics.background_ns += result.background_ns
             metrics.prefetched_pages = result.pages
             if TRACE.enabled and result.pages:

@@ -15,28 +15,22 @@ RDMA reads).
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.os.kernel import CheckpointBacking
+from repro.os.kernel import CheckpointBacking, NodeFailedError
 from repro.os.mm.faults import FaultKind
 from repro.os.mm.pagetable import PTES_PER_LEAF, PageTable, PteLeaf
 from repro.os.mm.pte import PTE_FRAME_SHIFT, PteFlags
 from repro.os.node import ComputeNode
-from repro.os.proc.namespaces import NamespaceSet
-from repro.os.proc.task import Task, TaskState
-from repro.rfork.restoreplan import RestorePlan, drop_plan, plan_for
+from repro.os.proc.task import Task
+from repro.rfork.restoreplan import RestorePlan, drop_plan
 from repro.rfork.base import (
-    FD_REOPEN_NS,
-    MMAP_SYSCALL_NS,
-    NS_RESTORE_NS,
-    PROC_CREATE_NS,
     CheckpointMetrics,
     RemoteForkMechanism,
-    RestoreMetrics,
     RestoreResult,
+    rebuild_from_records,
 )
 from repro.serial.codec import Codec
 from repro.serial.records import (
@@ -120,6 +114,7 @@ class MitosisCxl(RemoteForkMechanism):
     """Mitosis remote fork with RDMA verbs replaced by CXL copies."""
 
     name = "mitosis-cxl"
+    trace_name = "mitosis"
     supports_ghost_containers = True
 
     def __init__(self, *, codec: Optional[Codec] = None) -> None:
@@ -127,11 +122,9 @@ class MitosisCxl(RemoteForkMechanism):
 
     # -- checkpoint --------------------------------------------------------------
 
-    def checkpoint(self, task: Task) -> tuple[MitosisCheckpoint, CheckpointMetrics]:
+    def _capture(self, task: Task, metrics: CheckpointMetrics) -> tuple[MitosisCheckpoint, int]:
         node = task.node
         latency = node.fabric.latency
-        metrics = CheckpointMetrics()
-        task.freeze()
         ckpt: Optional[MitosisCheckpoint] = None
         frame_chunks: list[np.ndarray] = []
         try:
@@ -190,51 +183,22 @@ class MitosisCxl(RemoteForkMechanism):
                 ckpt.shadow_frames = np.empty(0, dtype=np.int64)
                 ckpt._deleted = True
             raise
-        finally:
-            task.thaw()
-        node.log.emit(node.clock.now, "mitosis_checkpoint", comm=task.comm,
-                      pages=ckpt.present_pages)
-        return ckpt, metrics
+        return ckpt, ckpt.present_pages
 
     # -- restore ------------------------------------------------------------------
 
-    def restore(
-        self,
-        checkpoint: MitosisCheckpoint,
-        node: ComputeNode,
-        *,
-        container: Optional[Any] = None,
-        policy: Optional[Any] = None,
-    ) -> RestoreResult:
-        if policy is None:
-            policy = MitosisPolicy()
-        if checkpoint.parent_node.failed:
-            from repro.os.kernel import NodeFailedError
+    build_restore_plan = staticmethod(build_restore_plan)
 
+    def _restore_policy(self, checkpoint, policy):
+        if checkpoint.parent_node.failed:
             raise NodeFailedError(
                 f"Mitosis checkpoint of {checkpoint.comm!r} was coupled to "
                 f"{checkpoint.parent_node.name!r}, which has failed (§3.1: "
                 "the parent node is a point of failure)"
             )
-        kernel = node.kernel
-        metrics = RestoreMetrics()
-        plan = plan_for(checkpoint, node.fabric, build_restore_plan)
+        return MitosisPolicy() if policy is None else policy
 
-        metrics.note("process_create", PROC_CREATE_NS)
-        task = kernel.spawn_task(checkpoint.comm, container=container)
-        try:
-            return self._restore_into(task, checkpoint, node, policy, metrics, plan)
-        except BaseException:
-            # Failed restores must not leak frames; a mid-restore node
-            # crash already tore the task down via node.fail().
-            if task.state is not TaskState.DEAD:
-                kernel.exit_task(task)
-            raise
-
-    def _restore_into(
-        self, task, checkpoint, node, policy, metrics, plan=None
-    ) -> RestoreResult:
-        kernel = node.kernel
+    def _restore_into(self, task, checkpoint, node, policy, metrics, plan) -> RestoreResult:
         latency = node.fabric.latency
 
         # Ship + deserialize the OS state over the CXL fabric.
@@ -244,41 +208,13 @@ class MitosisCxl(RemoteForkMechanism):
             latency.copy_ns(nbytes, src_cxl=False, dst_cxl=True)
             + latency.copy_ns(nbytes, src_cxl=True, dst_cxl=False),
         )
-        if plan is not None:
-            n_records = plan.n_meta_records
-        else:
-            n_records = (
-                2 + len(checkpoint.vma_records) + checkpoint.present_pages // 64
-            )
         metrics.note(
-            "os_state_deserialize", self.codec.costs.decode_ns(nbytes, n_records)
+            "os_state_deserialize",
+            self.codec.costs.decode_ns(nbytes, plan.n_meta_records),
         )
-
-        record = checkpoint.task_record
-        task.regs = record.regs.restore_into()
-        for fd_record in record.fds:
-            entry = fd_record.reopen()
-            inode = node.rootfs.ensure(entry.path)
-            task.fdtable.install(dc_replace(entry, inode=inode.ino))
-        metrics.note("fd_reopen", FD_REOPEN_NS * len(record.fds))
-        task.namespaces = NamespaceSet.restore_into(
-            {"pid": record.namespaces.pid_ns, "mnt": record.namespaces.mnt_ns},
-            task.namespaces,
-        )
-        metrics.note("ns_restore", NS_RESTORE_NS)
 
         # Rebuild the VMA tree and the remote-marked page-table skeleton.
-        # Rebuilt Vma objects are immutable, so the plan shares one list.
-        if plan is not None:
-            vmas = plan.vma_specs
-        else:
-            vmas = [r.rebuild(file_registered=True) for r in checkpoint.vma_records]
-        for vma in vmas:
-            if vma.is_file_backed():
-                node.rootfs.ensure(vma.path, size_bytes=vma.npages * PAGE_SIZE)
-            task.mm.vmas.insert(vma)
-            task.mm.note_range_used(vma.start_vpn, vma.npages)
-        metrics.note("vma_rebuild", MMAP_SYSCALL_NS * len(checkpoint.vma_records))
+        rebuild_from_records(task, checkpoint, node, metrics, plan)
         metrics.note(
             "pt_rebuild", PT_REBUILD_PER_PAGE_NS * checkpoint.present_pages
         )

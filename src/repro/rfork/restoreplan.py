@@ -13,8 +13,7 @@ is a pure function of the sealed image:
 
 * the concatenated frame array the RAS verify scans (plus a cached
   clean-verify verdict, keyed by the pool's poison epoch);
-* the PTE-leaf attach list (leaf index -> leaf object) and the numpy
-  attach arrays (leaf indices, CXL-residency flags, backing frames);
+* the PTE-leaf attach list (leaf index -> leaf object);
 * the frozen VMA construction specs (attached leaf objects for cxlfork,
   rebuilt immutable ``Vma`` objects for CRIU/Mitosis) and ``max_vpn``;
 * the upper-level page-table count (a pure function of the leaf-index
@@ -57,11 +56,15 @@ seeded ``stale-restore-plan`` mutation (:mod:`repro.check.mutation`)
 deliberately serves across a bump so the checksum/oracle layer can prove
 it would catch the corruption.
 
-Everything a plan serves is bit-identical to what a planless restore
-computes, so simulated time, metrics breakdowns, and bench digests are
-unchanged with the cache on or off (``RESTORE_PLAN.force(False)`` scopes
-a differential check; the ``REPRO_RESTORE_PLAN=0`` environment variable
-forces it off process-wide, workers included).
+The plan is the only restore path: every restore and every ship reads
+one.  The ``RESTORE_PLAN`` switch decides only whether it is memoized.
+Switched off, :func:`plan_for` builds a fresh plan per call that is
+neither kept nor counted, so a memoized plan must serve exactly what a
+fresh build computes, and simulated time, metrics breakdowns and bench
+digests are unchanged with the cache on or off
+(``RESTORE_PLAN.force(False)`` scopes a differential check; the
+``REPRO_RESTORE_PLAN=0`` environment variable forces it off
+process-wide, workers included).
 """
 
 from __future__ import annotations
@@ -103,9 +106,6 @@ class RestorePlan:
         "verified_pool_epoch",
         # page-table attach
         "pt_attach",
-        "leaf_indices",
-        "leaf_cxl_resident",
-        "backing_frames",
         "upper_tables",
         "naive_installed",
         # VMA construction
@@ -157,28 +157,28 @@ def plan_for(
     checkpoint: Any,
     fabric: Any,
     build: Callable[[Any], RestorePlan],
-) -> Optional[RestorePlan]:
+) -> RestorePlan:
     """Return a valid plan for ``checkpoint``, building one if needed.
 
-    Returns ``None`` when the switch is off — callers fall back to the
-    planless path, which computes exactly what a plan would have served.
-    A memoized plan whose captured epochs no longer match the live ones
-    is discarded and rebuilt (never served), except under the seeded
-    ``stale-restore-plan`` mutation, which serves it anyway so the
-    checksum/oracle layer can prove it catches the consequences.
+    With the switch off, every call builds a fresh plan that is neither
+    memoized nor counted.  A memoized plan whose captured epochs no
+    longer match the live ones is discarded and rebuilt (never served),
+    except under the seeded ``stale-restore-plan`` mutation, which serves
+    it anyway so the checksum/oracle layer can prove it catches the
+    consequences.
     """
     if not RESTORE_PLAN.active():
-        return None
+        return build(checkpoint)
     key = plan_key(checkpoint, fabric)
-    plan = getattr(checkpoint, "_restore_plan", None)
-    if plan is not None:
-        if plan.key == key:
+    memo = cached_plan(checkpoint)
+    if memo is not None:
+        if memo.key == key:
             RESTORE_PLAN.hits += 1
-            return plan
+            return memo
         if _mutation.active("stale-restore-plan"):
             # Seeded bug: serve across the epoch bump (see repro.check).
             RESTORE_PLAN.hits += 1
-            return plan
+            return memo
         RESTORE_PLAN.invalidations += 1
     plan = build(checkpoint)
     plan.key = key

@@ -18,6 +18,7 @@ from repro.os.kernel import NodeFailedError
 from repro.rfork.criu import CriuCheckpoint
 from repro.rfork.registry import get_mechanism
 from repro.rfork.resilient import ResilientFork
+from repro.rfork.restoreplan import RESTORE_PLAN, cached_plan
 from repro.sim.units import MS
 
 MECHANISMS = ["cxlfork", "criu-cxl", "mitosis-cxl"]
@@ -75,15 +76,23 @@ class TestMidCheckpointCrash:
 
 
 class TestMidRestoreCrash:
-    @pytest.mark.parametrize("mech_name", MECHANISMS)
-    def test_partial_restore_leaks_nothing(self, mech_name):
+    # Plan on (a memoized plan) and off (a fresh plan per restore): both
+    # restore paths must unwind a crash without leaking.
+    @pytest.mark.parametrize("mech_name,plan_on", [
+        pytest.param(mech_name, plan_on,
+                     id=mech_name if plan_on else f"{mech_name}-plan-off")
+        for mech_name in MECHANISMS
+        for plan_on in (True, False)
+    ])
+    def test_partial_restore_leaks_nothing(self, mech_name, plan_on):
         pod = make_pod(node_count=3)
         parent = prepare_parent(pod, "json")
         mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
         ckpt, _ = mech.checkpoint(parent.instance.task)
         FaultInjector(seed=4).crash_after(pod.target, int(1 * MS))
-        with pytest.raises(InjectedCrash):
+        with RESTORE_PLAN.force(plan_on), pytest.raises(InjectedCrash):
             mech.restore(ckpt, pod.target)
+        assert (cached_plan(ckpt) is not None) == plan_on
         report = audit(pod, [ckpt])
         assert report.clean, report.describe()
 

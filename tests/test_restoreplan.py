@@ -1,4 +1,11 @@
-"""Restore-plan cache: memoization, epoch invalidation, bit-identity."""
+"""Restore-plan cache: memoization, epoch invalidation, bit-identity.
+
+The plan is the only restore path, so the inline computations it replaced
+live on here as references (as ``tests/test_prop_access_segments.py``
+keeps the per-segment access loop): every builder field must equal what
+the old planless restore computed from the checkpoint and the restored
+task's live state.
+"""
 
 import pytest
 
@@ -7,8 +14,11 @@ from repro.check import mutation
 from repro.exceptions import PoisonError
 from repro.experiments.common import make_pod
 from repro.faas.workload import FunctionWorkload
+from repro.os.mm.pte import PteFlags
+from repro.os.mm.vma import VmaKind
 from repro.ras import RAS, checkpoint_frames
 from repro.ras.checksum import invalidate_restore_plan
+from repro.rfork.cxlfork import CxlFork
 from repro.rfork.registry import get_mechanism
 from repro.rfork.restoreplan import (
     RESTORE_PLAN,
@@ -63,7 +73,21 @@ class TestMemoization:
             result = mech.restore(ckpt, pod.target)
         assert result.task is not None
         assert cached_plan(ckpt) is None
-        assert RESTORE_PLAN.builds == 0
+        assert RESTORE_PLAN.summary() == {
+            "enabled": True, "builds": 0, "hits": 0, "invalidations": 0,
+        }
+
+    @pytest.mark.parametrize("mech_name", MECHANISMS)
+    def test_plan_off_ignores_memoized_plan(self, pod, parent, mech_name):
+        # Off means a fresh plan per restore: one memoized earlier is
+        # neither served, rebuilt nor replaced.
+        mech, ckpt = _checkpointed(pod, mech_name, parent)
+        mech.restore(ckpt, pod.target)
+        plan = cached_plan(ckpt)
+        with RESTORE_PLAN.force(False):
+            mech.restore(ckpt, pod.target)
+        assert cached_plan(ckpt) is plan
+        assert (RESTORE_PLAN.builds, RESTORE_PLAN.hits) == (1, 0)
 
     def test_key_captures_live_epochs(self, pod, checkpointed):
         _, _, mech, ckpt, _ = checkpointed
@@ -203,6 +227,125 @@ class TestReplicationSeeding:
             while router.queue.peek_time() is not None:
                 router.queue.step()
         assert cached_plan(landed[0].checkpoint) is None
+
+
+# -- builders versus the planless restore they replaced -------------------------
+
+
+def reference_cxlfork(checkpoint, task) -> dict:
+    """The planless cxlfork restore: heap derefs per restore, and the
+    upper-table count read off the restored task's live tree."""
+    pt_attach = [
+        (leaf_index, checkpoint.heap.deref(offset))
+        for leaf_index, offset in checkpoint.leaf_offsets.items()
+    ]
+    blob = checkpoint.heap.deref(checkpoint.global_offset)
+    state, decode_ns = CxlFork().codec.decode_with_cost(blob, nrecords=8)
+    return {
+        "pt_attach": pt_attach,
+        "naive_installed": sum(leaf.present_count() for _, leaf in pt_attach),
+        "upper_tables": task.mm.pagetable.upper_level_tables(),
+        "vma_leaves": [
+            checkpoint.heap.deref(offset) for offset in checkpoint.vma_leaf_offsets
+        ],
+        "max_vpn": checkpoint.max_vpn,
+        "global_state": state,
+        "global_decode_ns": decode_ns,
+    }
+
+
+def reference_criu_install(checkpoint, task) -> tuple[list, int]:
+    """The planless CRIU install loop: the skip rule applied through the
+    restored task's live VMA tree."""
+    install_specs = []
+    total_installed = 0
+    for pagemap in checkpoint.pagemaps:
+        # Skip runs that were not dumped (clean file pages: neither
+        # dirty nor a hardware-writable private copy — mirrors
+        # ``_file_clean_pages``).
+        if not pagemap.flags & (int(PteFlags.DIRTY) | int(PteFlags.WRITE)):
+            vma = task.mm.vmas.find(pagemap.start_vpn)
+            if vma is not None and vma.kind is VmaKind.FILE_PRIVATE:
+                continue
+        install_specs.append((pagemap.start_vpn, pagemap.npages))
+        total_installed += pagemap.npages
+    return install_specs, total_installed
+
+
+def reference_criu(checkpoint, task) -> dict:
+    install_specs, total_installed = reference_criu_install(checkpoint, task)
+    return {
+        "n_meta_records": 4 + len(checkpoint.vma_records) + len(checkpoint.pagemaps),
+        "vma_specs": [r.rebuild(file_registered=True) for r in checkpoint.vma_records],
+        "install_specs": install_specs,
+        "total_installed": total_installed,
+    }
+
+
+def reference_mitosis(checkpoint, task) -> dict:
+    return {
+        "n_meta_records": (
+            2 + len(checkpoint.vma_records) + checkpoint.present_pages // 64
+        ),
+        "vma_specs": [r.rebuild(file_registered=True) for r in checkpoint.vma_records],
+    }
+
+
+REFERENCES = {
+    "cxlfork": reference_cxlfork,
+    "criu-cxl": reference_criu,
+    "mitosis-cxl": reference_mitosis,
+}
+
+
+@pytest.fixture
+def mixed_parent(pod):
+    """The seasoned ``float`` parent plus a writable private file mapping
+    whose pages are dirty, hardware-writable but clean, or untouched, so
+    the CRIU pagemaps inside file-private VMAs come in every flavour."""
+    workload = FunctionWorkload("float")
+    instance = workload.build_instance(pod.source)
+    kernel = pod.source.kernel
+    rw = kernel.map_file_region(instance.task, "/lib/mixed-rw.so", 48, writable=True)
+    kernel.access_range(instance.task, rw.start_vpn, 16, write=True)
+    workload.season(instance)  # clears DIRTY: those 16 stay writable only
+    kernel.access_range(instance.task, rw.start_vpn, 8, write=True)
+    return workload, instance
+
+
+class TestBuildersMatchReferences:
+    @pytest.mark.parametrize("mech_name", MECHANISMS)
+    def test_builder_equals_planless_reference(self, pod, mixed_parent, mech_name):
+        mech, ckpt = _checkpointed(pod, mech_name, mixed_parent)
+        task = mech.restore(ckpt, pod.target).task
+        plan = cached_plan(ckpt)
+        reference = REFERENCES[mech_name](ckpt, task)
+        assert {field: getattr(plan, field) for field in reference} == reference
+
+    def test_criu_pagemaps_cover_every_file_private_flavour(self, pod, mixed_parent):
+        mech, ckpt = _checkpointed(pod, "criu-cxl", mixed_parent)
+        task = mech.restore(ckpt, pod.target).task
+        flavours = set()
+        for pagemap in ckpt.pagemaps:
+            vma = task.mm.vmas.find(pagemap.start_vpn)
+            if vma.kind is VmaKind.FILE_PRIVATE:
+                flavours.add(
+                    (bool(pagemap.flags & int(PteFlags.DIRTY)),
+                     bool(pagemap.flags & int(PteFlags.WRITE)))
+                )
+        assert flavours == {(False, False), (False, True), (True, True)}
+        installed, _ = reference_criu_install(ckpt, task)
+        assert 0 < len(installed) < len(ckpt.pagemaps)
+
+    @pytest.mark.parametrize("naive", [False, True], ids=["attach", "naive"])
+    def test_cxlfork_upper_tables_match_live_tree(self, pod, mixed_parent, naive):
+        workload, instance = mixed_parent
+        mech = CxlFork(naive_restore=naive)
+        ckpt, _ = mech.checkpoint(instance.task)
+        task = mech.restore(ckpt, pod.target).task
+        plan = cached_plan(ckpt)
+        assert plan.upper_tables == task.mm.pagetable.upper_level_tables()
+        assert plan.naive_installed == reference_cxlfork(ckpt, task)["naive_installed"]
 
 
 def _restore_trace(mech_name: str, plan_on: bool) -> dict:

@@ -17,6 +17,9 @@ from repro.telemetry import (
 from repro.telemetry.breakdown import UNATTRIBUTED
 from repro.telemetry.tracer import _NOOP_SPAN
 
+#: Each remote-fork mechanism and the prefix of its spans.
+SPAN_PREFIX = {"cxlfork": "cxlfork", "criu-cxl": "criu", "mitosis-cxl": "mitosis"}
+
 
 @pytest.fixture
 def tracer():
@@ -255,20 +258,21 @@ class TestExporters:
 class TestInstrumentation:
     """Tracing wired through the real mechanisms."""
 
-    def test_cxlfork_phases_match_metrics(self, traced, pod):
+    @pytest.mark.parametrize("mech_name", list(SPAN_PREFIX))
+    def test_phases_match_metrics(self, traced, pod, mech_name):
         from repro.faas.workload import FunctionWorkload
-        from repro.rfork.cxlfork import CxlFork
+        from repro.rfork.registry import get_mechanism
 
         workload = FunctionWorkload("float")
         instance = workload.build_instance(pod.source)
         workload.season(instance)
-        mech = CxlFork()
+        mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
         ckpt, cmetrics = mech.checkpoint(instance.task)
         result = mech.restore(ckpt, pod.target)
 
-        (cspan,) = traced.spans("cxlfork.checkpoint")
+        (cspan,) = traced.spans(f"{SPAN_PREFIX[mech_name]}.checkpoint")
         assert cspan.duration_ns == pytest.approx(cmetrics.latency_ns, abs=1)
-        (rspan,) = traced.spans("cxlfork.restore")
+        (rspan,) = traced.spans(f"{SPAN_PREFIX[mech_name]}.restore")
         assert rspan.duration_ns == pytest.approx(result.metrics.latency_ns, abs=1)
         # Phase children reproduce the metrics breakdown exactly.
         children = [
@@ -280,17 +284,19 @@ class TestInstrumentation:
         for phase, ns in result.metrics.breakdown.items():
             assert by_phase[phase] == pytest.approx(ns, abs=1)
 
-    def test_breakdown_sum_within_one_percent_of_total(self, traced, pod):
+    @pytest.mark.parametrize("mech_name", list(SPAN_PREFIX))
+    def test_breakdown_sum_within_one_percent_of_total(self, traced, pod, mech_name):
         from repro.faas.workload import FunctionWorkload
-        from repro.rfork.cxlfork import CxlFork
+        from repro.rfork.registry import get_mechanism
 
         workload = FunctionWorkload("json")
         instance = workload.build_instance(pod.source)
         workload.season(instance)
-        ckpt, _ = CxlFork().checkpoint(instance.task)
-        result = CxlFork().restore(ckpt, pod.target)
+        mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
+        ckpt, _ = mech.checkpoint(instance.task)
+        result = mech.restore(ckpt, pod.target)
 
-        group = Breakdown.from_tracer(traced).group("cxlfork.restore")
+        group = Breakdown.from_tracer(traced).group(f"{SPAN_PREFIX[mech_name]}.restore")
         assert group.attributed_ns == pytest.approx(group.total_ns, rel=0.01)
         assert group.total_ns == pytest.approx(result.metrics.latency_ns, rel=0.01)
 
